@@ -112,7 +112,7 @@ def _load_calibration(args) -> Calibration:
 def _load_config(args) -> GenerationConfig:
     try:
         config = GenerationConfig.load(args.config) if args.config else default_config()
-        if getattr(args, "blocks", None):
+        if getattr(args, "blocks", None) is not None:
             config = config.with_overrides(num_blocks=args.blocks)
         return config
     except FileNotFoundError:
@@ -300,6 +300,16 @@ def cmd_replay(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specroute",
@@ -316,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help=f"calibration file (default ${CALIBRATION_ENV})",
             )
         p.add_argument("--config", default=None, help="generation config file")
-        p.add_argument("--blocks", type=int, default=None, help="override num_blocks")
+        p.add_argument("--blocks", type=_positive_int, default=None, help="override num_blocks")
 
     p_fit = sub.add_parser("fit", help="fit calibration from a measurement table")
     p_fit.add_argument("--table", default=None, help="table JSON (default: bundled)")
@@ -337,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
                        action="store_false")
     p_sim.add_argument("--aggregation", default="min_frame",
                        choices=[m.value for m in AggregationMode])
-    p_sim.add_argument("--n", type=int, default=1, help="number of prompts")
+    p_sim.add_argument("--n", type=_positive_int, default=1, help="number of prompts")
     p_sim.add_argument("--out", default="-", help="JSONL output (default stdout)")
     p_sim.add_argument("--export-trace", default=None,
                        help="also export replayable trace records to this file")
@@ -347,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sweep)
     p_sweep.add_argument("--tau-list", type=float, nargs="+", default=None,
                          help=f"thresholds (default {' '.join(str(t) for t in DEFAULT_SWEEP_TAUS)})")
-    p_sweep.add_argument("--n", type=int, default=1003, help="prompts per arm")
+    p_sweep.add_argument("--n", type=_positive_int, default=1003, help="prompts per arm")
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p_sweep.add_argument("--out", default="-", help="CSV output (default stdout)")
     p_sweep.add_argument("--out-json", default=None, help="optional JSON report")
@@ -355,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_abl = sub.add_parser("ablate", help="scoring/routing ablation arm set")
     add_common(p_abl)
-    p_abl.add_argument("--n", type=int, default=1003, help="prompts per arm")
+    p_abl.add_argument("--n", type=_positive_int, default=1003, help="prompts per arm")
     p_abl.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p_abl.add_argument("--out", default="-", help="CSV output (default stdout)")
     p_abl.set_defaults(func=cmd_ablate)

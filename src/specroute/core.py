@@ -273,15 +273,25 @@ class DecodedFrames:
         object.__setattr__(self, "frames", tuple(frozen))
 
 
-@dataclass(frozen=True)
+_FLOAT_ONLY = frozenset({float})
+
+
+@dataclass(frozen=True, slots=True)
 class FrameScoreVector:
-    """Per-frame reward scores for one decoded block."""
+    """Per-frame reward scores for one decoded block.
+
+    Scores are stored as a tuple of plain floats; a tuple that already is
+    one is kept as given, anything else (ints, numpy scalars, lists) is
+    converted once.
+    """
 
     block_index: int
     scores: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
+        scores = self.scores
+        if type(scores) is not tuple or not set(map(type, scores)) <= _FLOAT_ONLY:
+            object.__setattr__(self, "scores", tuple(map(float, scores)))
 
     def minimum(self) -> float:
         return min(self.scores)
@@ -290,7 +300,7 @@ class FrameScoreVector:
         return sum(self.scores) / len(self.scores)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoutingDecision:
     verdict: Verdict
     reason: DecisionReason
@@ -305,7 +315,7 @@ class RoutingDecision:
         return self.verdict is Verdict.ACCEPT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockTrace:
     """Audit record for one block of one run.
 
@@ -330,7 +340,7 @@ class BlockTrace:
                 raise ValueError(f"{name} must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunSummary:
     """Outcome of one full video run.
 

@@ -47,7 +47,7 @@ def aggregate(scores: FrameScoreVector, mode: AggregationMode) -> float:
     """Collapse per-frame scores into the block score q."""
     if not scores.scores:
         raise ValueError("cannot aggregate an empty score vector")
-    if any(not math.isfinite(s) for s in scores.scores):
+    if not all(map(math.isfinite, scores.scores)):
         raise ValueError(f"non-finite frame score in block {scores.block_index}")
     if mode is AggregationMode.MIN_FRAME:
         return scores.minimum()
@@ -59,6 +59,15 @@ def aggregate(scores: FrameScoreVector, mode: AggregationMode) -> float:
 # ---------------------------------------------------------------------------
 # Policies
 # ---------------------------------------------------------------------------
+
+# Decisions are immutable, so every policy hands out these shared instances.
+_FORCED = RoutingDecision(Verdict.REJECT, DecisionReason.FORCED_FIRST_BLOCK)
+_ABOVE = RoutingDecision(Verdict.ACCEPT, DecisionReason.ABOVE_THRESHOLD)
+_BELOW = RoutingDecision(Verdict.REJECT, DecisionReason.BELOW_THRESHOLD)
+_RANDOM_ACCEPT = RoutingDecision(Verdict.ACCEPT, DecisionReason.RANDOM_ACCEPT)
+_RANDOM_REJECT = RoutingDecision(Verdict.REJECT, DecisionReason.RANDOM_REJECT)
+_ALWAYS_ACCEPT = RoutingDecision(Verdict.ACCEPT, DecisionReason.ALWAYS_ACCEPT)
+_ALWAYS_REJECT = RoutingDecision(Verdict.REJECT, DecisionReason.ALWAYS_REJECT)
 
 
 @dataclass(kw_only=True)
@@ -75,7 +84,7 @@ class Policy:
 
     def decide(self, block_index: int, q: float | None) -> RoutingDecision:
         if self.forces_rejection(block_index):
-            return RoutingDecision(Verdict.REJECT, DecisionReason.FORCED_FIRST_BLOCK)
+            return _FORCED
         return self._decide_unforced(block_index, q)
 
     def _decide_unforced(self, block_index: int, q: float | None) -> RoutingDecision:
@@ -99,8 +108,8 @@ class ThresholdPolicy(Policy):
         if q is None:
             raise ValueError(f"threshold policy needs a score for block {block_index}")
         if q >= self.tau:
-            return RoutingDecision(Verdict.ACCEPT, DecisionReason.ABOVE_THRESHOLD)
-        return RoutingDecision(Verdict.REJECT, DecisionReason.BELOW_THRESHOLD)
+            return _ABOVE
+        return _BELOW
 
     def label(self) -> str:
         return f"threshold(tau={self.tau:g})"
@@ -126,8 +135,8 @@ class RandomPolicy(Policy):
 
     def _decide_unforced(self, block_index: int, q: float | None) -> RoutingDecision:
         if self._rng.random() < self.accept_prob:
-            return RoutingDecision(Verdict.ACCEPT, DecisionReason.RANDOM_ACCEPT)
-        return RoutingDecision(Verdict.REJECT, DecisionReason.RANDOM_REJECT)
+            return _RANDOM_ACCEPT
+        return _RANDOM_REJECT
 
     def label(self) -> str:
         prefix = "force_reject_random" if self.force_reject_block0 else "random"
@@ -139,7 +148,7 @@ class AlwaysAcceptPolicy(Policy):
     """Accept every block (draft-only when force_reject_block0 is False)."""
 
     def _decide_unforced(self, block_index: int, q: float | None) -> RoutingDecision:
-        return RoutingDecision(Verdict.ACCEPT, DecisionReason.ALWAYS_ACCEPT)
+        return _ALWAYS_ACCEPT
 
     def label(self) -> str:
         return "always_accept"
@@ -150,7 +159,7 @@ class AlwaysRejectPolicy(Policy):
     """Reject every block (target-only content)."""
 
     def _decide_unforced(self, block_index: int, q: float | None) -> RoutingDecision:
-        return RoutingDecision(Verdict.REJECT, DecisionReason.ALWAYS_REJECT)
+        return _ALWAYS_REJECT
 
     def label(self) -> str:
         return "always_reject"

@@ -12,6 +12,7 @@ Record format (one JSON object per line, unknown keys rejected):
     required  prompt_id          string
     required  block_index        integer >= 0
     required  frame_scores       non-empty array of finite numbers
+                                  (every number in a record must fit in a float)
     optional  draft_time_s       number >= 0
     optional  target_time_s      number >= 0 (cost of a target regeneration
                                   for this block; 0/absent if never rejected)
@@ -19,15 +20,19 @@ Record format (one JSON object per line, unknown keys rejected):
     optional  score_time_s       number >= 0
     optional  producer_observed  "draft" | "target"
 
-Records stream one line at a time, so multi-gigabyte traces never need
-to be buffered whole.
+`parse_trace` reads its input line by line but returns every record in
+one list, and `replay` groups that list by prompt before routing, so
+memory grows with the size of the trace.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -36,6 +41,7 @@ from .core import (
     FrameScoreVector,
     Producer,
     RunSummary,
+    Verdict,
 )
 from .costmodel import LatencyParams
 from .router import AggregationMode, Policy, ThresholdPolicy, aggregate
@@ -54,14 +60,12 @@ __all__ = [
     "replay",
 ]
 
-_REQUIRED_KEYS = {"prompt_id", "block_index", "frame_scores"}
-_OPTIONAL_KEYS = {
-    "draft_time_s",
-    "target_time_s",
-    "decode_time_s",
-    "score_time_s",
-    "producer_observed",
-}
+_REQUIRED_KEYS = frozenset({"prompt_id", "block_index", "frame_scores"})
+# In ExternalTraceRecord field order.
+_TIME_KEYS = ("draft_time_s", "target_time_s", "decode_time_s", "score_time_s")
+_KNOWN_KEYS = _REQUIRED_KEYS | set(_TIME_KEYS) | {"producer_observed"}
+_NUMBER_TYPES = frozenset({int, float})
+_OPTIONAL_NUMBER_TYPES = _NUMBER_TYPES | {type(None)}
 
 RECORDED = "recorded"
 MODELED = "modeled"
@@ -77,9 +81,12 @@ class TraceFormatError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExternalTraceRecord:
-    """Per-block observation exported by a real (or simulated) pipeline."""
+    """Per-block observation exported by a real (or simulated) pipeline.
+
+    Construction converts every value to float once and checks it.
+    """
 
     prompt_id: str
     block_index: int
@@ -91,73 +98,78 @@ class ExternalTraceRecord:
     producer_observed: Producer | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "frame_scores", tuple(float(s) for s in self.frame_scores))
-        if not self.frame_scores:
+        try:
+            scores = tuple(map(float, self.frame_scores))
+        except OverflowError:
+            raise ValueError("frame_scores must fit in a float") from None
+        object.__setattr__(self, "frame_scores", scores)
+        if not scores:
             raise ValueError("frame_scores must be non-empty")
-        if any(not math.isfinite(s) for s in self.frame_scores):
+        if not all(map(math.isfinite, scores)):
             raise ValueError("frame_scores must be finite")
         if self.block_index < 0:
             raise ValueError(f"block_index must be >= 0, got {self.block_index}")
-        for name in ("draft_time_s", "target_time_s", "decode_time_s", "score_time_s"):
+        for name in _TIME_KEYS:
             val = getattr(self, name)
-            if val is not None and (not math.isfinite(val) or val < 0):
+            if val is None:
+                continue
+            if type(val) is not float:
+                try:
+                    val = float(val)
+                except OverflowError:
+                    raise ValueError(f"{name} must fit in a float") from None
+                object.__setattr__(self, name, val)
+            # Also false for NaN.
+            if not 0.0 <= val < math.inf:
                 raise ValueError(f"{name} must be a non-negative finite number")
 
 
 def _record_from_obj(obj: object, line_number: int) -> ExternalTraceRecord:
+    """Check the JSON shape of one record; the record checks the values."""
     if not isinstance(obj, dict):
         raise TraceFormatError("record must be a JSON object", line_number)
-    unknown = set(obj) - _REQUIRED_KEYS - _OPTIONAL_KEYS
-    if unknown:
+    if not obj.keys() <= _KNOWN_KEYS:
+        unknown = obj.keys() - _KNOWN_KEYS
         raise TraceFormatError(f"unknown fields {sorted(unknown)}", line_number)
-    missing = _REQUIRED_KEYS - set(obj)
-    if missing:
+    if not obj.keys() >= _REQUIRED_KEYS:
+        missing = _REQUIRED_KEYS - obj.keys()
         raise TraceFormatError(f"missing required fields {sorted(missing)}", line_number)
-    if not isinstance(obj["prompt_id"], str) or not obj["prompt_id"]:
+    prompt_id = obj["prompt_id"]
+    if not isinstance(prompt_id, str) or not prompt_id:
         raise TraceFormatError("prompt_id must be a non-empty string", line_number)
-    if not isinstance(obj["block_index"], int) or isinstance(obj["block_index"], bool):
+    block_index = obj["block_index"]
+    # JSON yields exact types, so this also rejects true and false.
+    if type(block_index) is not int:
         raise TraceFormatError("block_index must be an integer", line_number)
     scores = obj["frame_scores"]
-    if not isinstance(scores, list) or not scores:
+    if type(scores) is not list or not scores:
         raise TraceFormatError("frame_scores must be a non-empty array", line_number)
-    if not all(isinstance(s, (int, float)) and not isinstance(s, bool) for s in scores):
+    if not set(map(type, scores)) <= _NUMBER_TYPES:
         raise TraceFormatError("frame_scores must contain only numbers", line_number)
 
-    producer = None
-    if obj.get("producer_observed") is not None:
+    producer = obj.get("producer_observed")
+    if producer is not None:
         try:
-            producer = Producer(obj["producer_observed"])
+            producer = Producer(producer)
         except ValueError:
             raise TraceFormatError(
-                f"producer_observed must be 'draft' or 'target', got {obj['producer_observed']!r}",
+                f"producer_observed must be 'draft' or 'target', got {producer!r}",
                 line_number,
             ) from None
 
-    def opt_time(key: str) -> float | None:
-        val = obj.get(key)
-        if val is None:
-            return None
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise TraceFormatError(f"{key} must be a number", line_number)
-        return float(val)
+    times = tuple(map(obj.get, _TIME_KEYS))
+    if not set(map(type, times)) <= _OPTIONAL_NUMBER_TYPES:
+        key = next(k for k, v in zip(_TIME_KEYS, times) if type(v) not in _OPTIONAL_NUMBER_TYPES)
+        raise TraceFormatError(f"{key} must be a number", line_number)
 
     try:
-        return ExternalTraceRecord(
-            prompt_id=obj["prompt_id"],
-            block_index=obj["block_index"],
-            frame_scores=tuple(float(s) for s in scores),
-            draft_time_s=opt_time("draft_time_s"),
-            target_time_s=opt_time("target_time_s"),
-            decode_time_s=opt_time("decode_time_s"),
-            score_time_s=opt_time("score_time_s"),
-            producer_observed=producer,
-        )
+        return ExternalTraceRecord(prompt_id, block_index, scores, *times, producer)
     except ValueError as exc:
         raise TraceFormatError(str(exc), line_number) from exc
 
 
 def parse_trace(lines: Iterable[str]) -> list[ExternalTraceRecord]:
-    """Parse a stream of trace lines; errors carry the offending line number."""
+    """Parse trace lines into a list; errors carry the offending line number."""
     records = []
     for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -167,6 +179,14 @@ def parse_trace(lines: Iterable[str]) -> list[ExternalTraceRecord]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"invalid JSON ({exc.msg})", line_number) from exc
+        except ValueError as exc:
+            # The only other ValueError: an integer literal over the digit limit.
+            limit = sys.get_int_max_str_digits()
+            raise TraceFormatError(
+                f"invalid JSON (integer literal of more than {limit} digits)", line_number
+            ) from exc
+        except RecursionError:
+            raise TraceFormatError("invalid JSON (nested too deeply)", line_number) from None
         records.append(_record_from_obj(obj, line_number))
     return records
 
@@ -187,7 +207,7 @@ def serialize_record(record: ExternalTraceRecord) -> str:
         "block_index": record.block_index,
         "frame_scores": list(record.frame_scores),
     }
-    for key in ("draft_time_s", "target_time_s", "decode_time_s", "score_time_s"):
+    for key in _TIME_KEYS:
         val = getattr(record, key)
         if val is not None:
             obj[key] = val
@@ -241,7 +261,7 @@ def records_from_traces(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplayedRun:
     """Replay outcome for one prompt, with per-block timing provenance."""
 
@@ -249,27 +269,70 @@ class ReplayedRun:
     timing_provenance: tuple[str, ...]
 
 
+_block_index = attrgetter("block_index")
+
+# Gaps and duplicates listed in a contiguity error before "and N more".
+_LISTED_BLOCKS = 10
+
+
 def _group_by_prompt(
     records: Sequence[ExternalTraceRecord],
 ) -> dict[str, list[ExternalTraceRecord]]:
-    groups: dict[str, list[ExternalTraceRecord]] = {}
+    groups: defaultdict[str, list[ExternalTraceRecord]] = defaultdict(list)
     for r in records:
-        groups.setdefault(r.prompt_id, []).append(r)
+        groups[r.prompt_id].append(r)
     return groups
 
 
 def _check_contiguous(prompt_id: str, blocks: Sequence[ExternalTraceRecord]) -> None:
-    seen = sorted(r.block_index for r in blocks)
-    expected = list(range(seen[-1] + 1)) if seen else []
-    if seen != expected:
-        gaps = sorted(set(expected) - set(seen))
-        dupes = sorted({b for b in seen if seen.count(b) > 1})
-        detail = []
-        if gaps:
-            detail.append(f"missing blocks {gaps}")
-        if dupes:
-            detail.append(f"duplicate blocks {dupes}")
-        raise TraceFormatError(f"prompt {prompt_id!r}: " + ", ".join(detail))
+    """Require block indices 0..n-1, each once; O(n) in the number of records."""
+    seen = sorted(map(_block_index, blocks))
+    if seen == list(range(len(seen))):
+        return
+    gaps: list[int] = []
+    dupes: list[int] = []
+    num_gaps = num_dupes = 0
+    next_index = 0
+    last_dupe = -1
+    for b in seen:
+        if b < next_index:
+            # Sorted, so b repeats the previous index; count each value once.
+            if b != last_dupe:
+                num_dupes += 1
+                last_dupe = b
+                if len(dupes) < _LISTED_BLOCKS:
+                    dupes.append(b)
+            continue
+        if b > next_index:
+            num_gaps += b - next_index
+            room = _LISTED_BLOCKS - len(gaps)
+            gaps.extend(range(next_index, min(b, next_index + room)))
+        next_index = b + 1
+    detail = []
+    if num_gaps:
+        detail.append(_listing("missing", gaps, num_gaps))
+    if num_dupes:
+        detail.append(_listing("duplicate", dupes, num_dupes))
+    raise TraceFormatError(f"prompt {prompt_id!r}: " + ", ".join(detail))
+
+
+def _listing(kind: str, listed: list[int], count: int) -> str:
+    text = f"{kind} blocks {listed}"
+    if count > len(listed):
+        text += f" and {count - len(listed)} more"
+    return text
+
+
+def _no_fallback(
+    prompt_id: str, block_index: int, times: Sequence[float | None]
+) -> TraceFormatError:
+    """Name the first missing timing, in the order draft, decode, score, target."""
+    names = ("c_draft", "c_decode", "c_score", "c_target")
+    name = next(n for n, t in zip(names, times) if t is None)
+    return TraceFormatError(
+        f"prompt {prompt_id!r} block {block_index}: "
+        f"no recorded {name} and no latency params for fallback"
+    )
 
 
 def replay(
@@ -287,81 +350,75 @@ def replay(
     recorded values where present and from `latency` otherwise (an error
     if a needed timing is missing and no params were given). Passing
     `policy` overrides the default threshold policy built from `tau`.
+    Total time and accept rate follow the engine's accounting
+    (`costmodel.simulate_time` and `run_video_detailed`).
 
     Pure over its inputs: two replays of the same records agree exactly.
     """
     if policy is None:
         policy = ThresholdPolicy(tau=tau, force_reject_block0=force_reject_block0)
+    # Scoring is assumed overlapped (factor 0) when no params are given,
+    # matching the engine's default accounting.
+    factor = latency.overlap_factor if latency is not None else 0.0
     runs = []
     for prompt_id, group in _group_by_prompt(records).items():
         _check_contiguous(prompt_id, group)
-        group = sorted(group, key=lambda r: r.block_index)
+        group.sort(key=_block_index)
         traces: list[BlockTrace] = []
         provenance: list[str] = []
+        total = 0.0
+        accepted = 0
         for record in group:
-            scores = FrameScoreVector(record.block_index, record.frame_scores)
+            b = record.block_index
+            scores = FrameScoreVector(b, record.frame_scores)
             q = aggregate(scores, aggregation)
-            decision = policy.decide(record.block_index, q)
-            used_modeled = False
-            used_recorded = False
-
-            def pick(recorded: float | None, modeled_name: str) -> float:
-                nonlocal used_modeled, used_recorded
-                if recorded is not None:
-                    used_recorded = True
-                    return recorded
-                if latency is None:
-                    raise TraceFormatError(
-                        f"prompt {prompt_id!r} block {record.block_index}: "
-                        f"no recorded {modeled_name} and no latency params for fallback"
-                    )
-                used_modeled = True
-                return getattr(latency, modeled_name)
-
-            draft_time = pick(record.draft_time_s, "c_draft")
-            decode_time = pick(record.decode_time_s, "c_decode")
-            score_time = pick(record.score_time_s, "c_score")
-            if decision.accepted:
-                target_time = 0.0
+            decision = policy.decide(b, q)
+            draft, decode, score = record.draft_time_s, record.decode_time_s, record.score_time_s
+            needed = 3
+            missing = (draft is None) + (decode is None) + (score is None)
+            if decision.verdict is Verdict.ACCEPT:
+                target = 0.0
+                accepted += b > 0
             else:
-                usable = record.target_time_s if record.target_time_s else None
-                target_time = pick(usable, "c_target")
-
+                # A recorded 0 means the factual run accepted this block.
+                target = record.target_time_s or None
+                needed = 4
+                missing += target is None
+            if missing:
+                if latency is None:
+                    raise _no_fallback(prompt_id, b, (draft, decode, score, target))
+                if draft is None:
+                    draft = latency.c_draft
+                if decode is None:
+                    decode = latency.c_decode
+                if score is None:
+                    score = latency.c_score
+                if target is None:
+                    target = latency.c_target
+                provenance.append(MODELED if missing == needed else MIXED)
+            else:
+                provenance.append(RECORDED)
+            total += draft + decode + score * factor + target
             traces.append(
                 BlockTrace(
-                    block_index=record.block_index,
+                    block_index=b,
                     decision=decision,
                     aggregate_score=q,
                     frame_scores=scores,
-                    draft_time_s=draft_time,
-                    score_time_s=score_time,
-                    target_time_s=target_time,
-                    decode_time_s=decode_time,
+                    draft_time_s=draft,
+                    score_time_s=score,
+                    target_time_s=target,
+                    decode_time_s=decode,
                 )
             )
-            if used_modeled and used_recorded:
-                provenance.append(MIXED)
-            elif used_modeled:
-                provenance.append(MODELED)
-            else:
-                provenance.append(RECORDED)
 
         num_blocks = len(traces)
-        accepted = sum(1 for t in traces[1:] if t.decision.accepted)
-        rate = accepted / (num_blocks - 1) if num_blocks > 1 else 0.0
-        # Scoring is assumed overlapped (factor 0) when no params are given,
-        # matching the engine's default accounting.
-        factor = latency.overlap_factor if latency is not None else 0.0
-        total = sum(
-            t.draft_time_s + t.decode_time_s + t.score_time_s * factor + t.target_time_s
-            for t in traces
-        )
         summary = RunSummary(
             prompt_id=prompt_id,
-            accept_rate_excl_block0=rate,
+            accept_rate_excl_block0=accepted / (num_blocks - 1) if num_blocks > 1 else 0.0,
             total_time_s=total,
             quality_proxy=quality_fn(traces) if quality_fn is not None else float("nan"),
             block_traces=tuple(traces),
         )
-        runs.append(ReplayedRun(summary=summary, timing_provenance=tuple(provenance)))
+        runs.append(ReplayedRun(summary, tuple(provenance)))
     return runs

@@ -86,6 +86,23 @@ class TestSimulate:
         monkeypatch.setenv("SPECROUTE_CALIBRATION", str(cal_path))
         assert main(["simulate", "--n", "1", "--out", str(tmp_path / "r.jsonl")]) == 0
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["simulate", "--n", "0"], ["simulate", "--blocks", "0"], ["ablate", "--n", "0"],
+         ["sweep", "--blocks", "-1"]],
+    )
+    def test_non_positive_count_is_usage_error(self, cal_path, tmp_path, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(flags + ["--calibration", str(cal_path), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_blocks_override_is_applied(self, cal_path, tmp_path):
+        out = tmp_path / "runs.jsonl"
+        args = ["simulate", "--calibration", str(cal_path), "--blocks", "3", "--out", str(out)]
+        assert main(args) == 0
+        assert len(json.loads(out.read_text())["block_traces"]) == 3
+
     def test_ci_mode_requires_seed(self, cal_path, tmp_path, monkeypatch):
         monkeypatch.setenv("SPECROUTE_CI", "1")
         args = ["simulate", "--calibration", str(cal_path), "--n", "1",
@@ -218,6 +235,22 @@ class TestReplayCommand:
         bad.write_text("{broken\n")
         assert main(["replay", "--trace", str(bad), "--tau", "-0.7",
                      "--out", str(tmp_path / "o.json")]) == 3
+
+    @pytest.mark.parametrize(
+        "fields",
+        ['"frame_scores":[1E]', '"frame_scores":[0.5],"target_time_s":1E'],
+        ids=["score", "target_time"],
+    )
+    def test_number_too_large_for_a_float_is_parse_error(self, tmp_path, capsys, fields):
+        fields = fields.replace("1E", "1" + "0" * 400)
+        bad = tmp_path / "big.jsonl"
+        bad.write_text(
+            '{"prompt_id":"p0","block_index":0,"frame_scores":[0.5]}\n'
+            '{"prompt_id":"p0","block_index":1,' + fields + "}\n"
+        )
+        assert main(["replay", "--trace", str(bad), "--tau", "-0.7",
+                     "--out", str(tmp_path / "o.json")]) == 3
+        assert "line 2" in capsys.readouterr().err
 
     def test_gappy_trace_is_validation_error(self, trace_path, tmp_path):
         lines = trace_path.read_text().splitlines()

@@ -142,6 +142,14 @@ class TestPayloads:
         assert v.minimum() == -0.3
         assert v.mean() == pytest.approx(0.1)
 
+    def test_frame_score_vector_holds_plain_floats(self):
+        v = FrameScoreVector(0, (1, np.float64(0.5), -2.0))
+        assert v.scores == (1.0, 0.5, -2.0)
+        assert [type(s) for s in v.scores] == [float, float, float]
+        assert type(FrameScoreVector(0, [0.25]).scores) is tuple
+        floats = (0.5, -0.3)
+        assert FrameScoreVector(0, floats).scores is floats
+
 
 class TestRoutingDecision:
     @pytest.mark.parametrize(

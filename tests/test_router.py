@@ -38,8 +38,10 @@ class TestAggregate:
             aggregate(FrameScoreVector(0, ()), AggregationMode.MIN_FRAME)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate(FrameScoreVector(0, (0.1, float("inf"))), AggregationMode.MIN_FRAME)
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            for mode in AggregationMode:
+                with pytest.raises(ValueError):
+                    aggregate(FrameScoreVector(0, (0.1, bad)), mode)
 
     @given(scores=finite_scores)
     def test_min_never_exceeds_mean(self, scores):

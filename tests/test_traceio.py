@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specroute.core import PromptSpec, Verdict
+from specroute.costmodel import LatencyParams, OverlapMode, simulate_time
 from specroute.engine import run_video_detailed
 from specroute.router import AggregationMode, ThresholdPolicy
 from specroute.synthmodels import build_synthetic_stack
@@ -111,6 +113,27 @@ class TestParse:
         with pytest.raises(TraceFormatError, match="producer_observed"):
             parse_trace_text(bad + "\n")
 
+    @pytest.mark.parametrize(
+        "extra",
+        [{"frame_scores": [0.5, 10**400]}, {"draft_time_s": 10**400}, {"score_time_s": 10**400}],
+        ids=["score", "draft_time", "score_time"],
+    )
+    def test_integer_too_large_for_a_float_names_line(self, extra):
+        good = serialize_record(make_records(num_blocks=1)[0])
+        bad = json.dumps({"prompt_id": "p0", "block_index": 1, "frame_scores": [0.1], **extra})
+        with pytest.raises(TraceFormatError, match="line 2: .*fit in a float"):
+            parse_trace_text(good + "\n" + bad + "\n")
+
+    def test_integer_literal_over_digit_limit_names_line(self):
+        bad = '{"prompt_id":"p0","block_index":0,"frame_scores":[1' + "0" * 5000 + "]}"
+        with pytest.raises(TraceFormatError, match="line 1: invalid JSON") as exc:
+            parse_trace_text(bad + "\n")
+        assert len(str(exc.value)) < 200
+
+    def test_deep_nesting_names_line(self):
+        with pytest.raises(TraceFormatError, match="line 1: invalid JSON"):
+            parse_trace_text("[" * 100_000 + "\n")
+
 
 record_strategy = st.builds(
     ExternalTraceRecord,
@@ -189,6 +212,22 @@ class TestReplay:
         with pytest.raises(TraceFormatError, match="duplicate"):
             replay(records, tau=-0.7)
 
+    def test_far_block_index_is_reported_at_once(self):
+        records = make_records(num_blocks=1) + [
+            ExternalTraceRecord(prompt_id="p0", block_index=10**9, frame_scores=(0.1,))
+        ]
+        start = time.perf_counter()
+        message = r"missing blocks \[1, 2, .*, 10\] and 999999989 more"
+        with pytest.raises(TraceFormatError, match=message) as exc:
+            replay(records, tau=-0.7)
+        assert time.perf_counter() - start < 1.0
+        assert len(str(exc.value)) < 1024
+
+    def test_listed_duplicates_are_capped(self):
+        records = [r for r in make_records(num_blocks=30) for _ in range(2)]
+        with pytest.raises(TraceFormatError, match=r"duplicate blocks \[0, .*, 9\] and 20 more$"):
+            replay(records, tau=-0.7)
+
     def test_recorded_timings_used_verbatim(self):
         runs = replay(make_records(), tau=float("-inf"))
         assert runs[0].timing_provenance == ("recorded",) * 9
@@ -243,6 +282,101 @@ class TestReplay:
         a = replay(records, tau=-0.3, quality_fn=quality)
         b = replay(records, tau=-0.3, quality_fn=quality)
         assert a == b
+
+
+timing = st.none() | st.just(0.0) | st.floats(min_value=0, max_value=50, allow_nan=False)
+
+
+@st.composite
+def prompt_groups(draw):
+    """Records of 1-3 prompts with 1-6 blocks each, timings present, absent or zero."""
+    records = []
+    for p in range(draw(st.integers(min_value=1, max_value=3))):
+        for b in range(draw(st.integers(min_value=1, max_value=6))):
+            scores = draw(
+                st.lists(st.floats(min_value=-3, max_value=3), min_size=1, max_size=4)
+            )
+            records.append(
+                ExternalTraceRecord(
+                    prompt_id=f"p{p}",
+                    block_index=b,
+                    frame_scores=tuple(scores),
+                    draft_time_s=draw(timing),
+                    target_time_s=draw(timing),
+                    decode_time_s=draw(timing),
+                    score_time_s=draw(timing),
+                )
+            )
+    return draw(st.permutations(records))
+
+
+class TestReplayAccounting:
+    """Replay against the engine's accounting and the field-by-field timing rules."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        records=prompt_groups(),
+        tau=st.floats(min_value=-3.5, max_value=3.5),
+        aggregation=st.sampled_from(AggregationMode),
+        force=st.booleans(),
+        overlap=st.sampled_from(OverlapMode),
+    )
+    def test_replay_matches_engine_accounting(self, records, tau, aggregation, force, overlap):
+        latency = LatencyParams(
+            c_draft=2.2, c_target=10.8, c_decode=0.7, c_score=0.4, overlap_mode=overlap
+        )
+        runs = replay(
+            records, tau=tau, aggregation=aggregation, force_reject_block0=force, latency=latency
+        )
+        policy = ThresholdPolicy(tau=tau, force_reject_block0=force)
+        first_seen = list(dict.fromkeys(r.prompt_id for r in records))
+        assert [r.summary.prompt_id for r in runs] == first_seen
+        for run in runs:
+            summary = run.summary
+            traces = summary.block_traces
+            assert summary.total_time_s == simulate_time(traces, latency)
+            accepted = sum(1 for t in traces[1:] if t.decision.accepted)
+            rate = accepted / (len(traces) - 1) if len(traces) > 1 else 0.0
+            assert summary.accept_rate_excl_block0 == rate
+
+            group = sorted(
+                (r for r in records if r.prompt_id == summary.prompt_id),
+                key=lambda r: r.block_index,
+            )
+            assert len(traces) == len(group) == len(run.timing_provenance)
+            for trace, record, source in zip(traces, group, run.timing_provenance):
+                scores = record.frame_scores
+                if aggregation is AggregationMode.MIN_FRAME:
+                    q = min(scores)
+                else:
+                    q = sum(scores) / len(scores)
+                assert trace.aggregate_score == q
+                assert trace.decision == policy.decide(record.block_index, q)
+                recorded = [
+                    record.draft_time_s is not None,
+                    record.decode_time_s is not None,
+                    record.score_time_s is not None,
+                ]
+                if trace.decision.accepted:
+                    assert trace.target_time_s == 0.0
+                else:
+                    # A zero target time records an accepted block: rejecting it
+                    # counterfactually needs the modeled regeneration cost.
+                    recorded.append(bool(record.target_time_s))
+                    expected_target = record.target_time_s or latency.c_target
+                    assert trace.target_time_s == expected_target
+                for value, recorded_value, modeled in (
+                    (trace.draft_time_s, record.draft_time_s, latency.c_draft),
+                    (trace.decode_time_s, record.decode_time_s, latency.c_decode),
+                    (trace.score_time_s, record.score_time_s, latency.c_score),
+                ):
+                    assert value == (modeled if recorded_value is None else recorded_value)
+                if all(recorded):
+                    assert source == "recorded"
+                elif any(recorded):
+                    assert source == "mixed"
+                else:
+                    assert source == "modeled"
 
 
 class TestEngineSelfConsistency:
