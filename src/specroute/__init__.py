@@ -16,7 +16,6 @@ from .caches import (
     SnapshotMismatchError,
     decode_restore,
     decode_snapshot,
-    kv_commit,
 )
 from .core import (
     BlockTrace,
@@ -44,8 +43,10 @@ from .costmodel import (
 from .engine import (
     DecoderInterface,
     GeneratorInterface,
+    Arm,
     RunResult,
     ScorerInterface,
+    run_arms_detailed,
     run_video,
     run_video_detailed,
 )
@@ -57,7 +58,6 @@ from .router import (
     RandomPolicy,
     ThresholdPolicy,
     aggregate,
-    decide,
     matched_random_policy,
 )
 from .sweep import (

@@ -112,10 +112,6 @@ class KVCache:
         return self.owner == other.owner and self.digests() == other.digests()
 
 
-def kv_commit(cache: KVCache, block: LatentBlock) -> None:
-    cache.commit(block)
-
-
 # ---------------------------------------------------------------------------
 # Decoder-state snapshots
 # ---------------------------------------------------------------------------

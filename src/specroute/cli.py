@@ -23,7 +23,14 @@ import os
 import sys
 from pathlib import Path
 
-from .core import ConfigError, GenerationConfig, PromptSpec, default_config, summary_to_dict
+from .core import (
+    ConfigError,
+    ConfigParseError,
+    GenerationConfig,
+    PromptSpec,
+    default_config,
+    summary_to_dict,
+)
 from .costmodel import LatencyFitError
 from .engine import run_video
 from .router import AggregationMode, policy_from_flags
@@ -41,6 +48,7 @@ from .sweep import (
 from .synthmodels import (
     Calibration,
     CalibrationError,
+    CalibrationValueError,
     QUALITY_FIT_TOLERANCE,
     build_synthetic_stack,
     fit_calibration,
@@ -105,6 +113,8 @@ def _load_calibration(args) -> Calibration:
         return Calibration.load(path)
     except FileNotFoundError:
         raise CliFailure(EXIT_VALIDATION, f"calibration file not found: {path}") from None
+    except CalibrationValueError as exc:
+        raise CliFailure(EXIT_VALIDATION, f"invalid calibration file {path}: {exc}") from exc
     except CalibrationError as exc:
         raise CliFailure(EXIT_PARSE, f"cannot parse calibration file {path}: {exc}") from exc
 
@@ -117,8 +127,10 @@ def _load_config(args) -> GenerationConfig:
         return config
     except FileNotFoundError:
         raise CliFailure(EXIT_VALIDATION, f"config file not found: {args.config}") from None
-    except ConfigError as exc:
+    except ConfigParseError as exc:
         raise CliFailure(EXIT_PARSE, f"bad config: {exc}") from exc
+    except ConfigError as exc:
+        raise CliFailure(EXIT_VALIDATION, f"invalid config: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--tau-list", type=float, nargs="+", default=None,
                          help=f"thresholds (default {' '.join(str(t) for t in DEFAULT_SWEEP_TAUS)})")
     p_sweep.add_argument("--n", type=_positive_int, default=1003, help="prompts per arm")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_sweep.add_argument("--jobs", type=_positive_int, default=1,
+                         help="parallel workers (capped at the CPU count)")
     p_sweep.add_argument("--out", default="-", help="CSV output (default stdout)")
     p_sweep.add_argument("--out-json", default=None, help="optional JSON report")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -366,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_abl = sub.add_parser("ablate", help="scoring/routing ablation arm set")
     add_common(p_abl)
     p_abl.add_argument("--n", type=_positive_int, default=1003, help="prompts per arm")
-    p_abl.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_abl.add_argument("--jobs", type=_positive_int, default=1,
+                       help="parallel workers (capped at the CPU count)")
     p_abl.add_argument("--out", default="-", help="CSV output (default stdout)")
     p_abl.set_defaults(func=cmd_ablate)
 

@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "ConfigError",
+    "ConfigParseError",
     "Producer",
     "Verdict",
     "DecisionReason",
@@ -34,7 +35,6 @@ __all__ = [
     "stable_key",
     "keyed_generator",
     "noise_seed_for_block",
-    "array_digest",
     "block_digest",
     "summary_to_dict",
 ]
@@ -42,6 +42,10 @@ __all__ = [
 
 class ConfigError(ValueError):
     """A configuration value violates a protocol invariant."""
+
+
+class ConfigParseError(ConfigError):
+    """A malformed config file: a bad line, a missing or unknown key, or an unparsable value."""
 
 
 class Producer(str, Enum):
@@ -173,42 +177,70 @@ class GenerationConfig:
 
     @classmethod
     def from_text(cls, text: str) -> GenerationConfig:
+        """Parse to_text's format; syntax errors raise ConfigParseError, invariants ConfigError."""
         values: dict[str, str] = {}
         for raw in text.splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ConfigError(f"malformed config line: {raw!r}")
+                raise ConfigParseError(f"malformed config line: {raw!r}")
             key, _, val = line.partition("=")
+            if key.strip() not in _CONFIG_PARSERS:
+                raise ConfigParseError(f"unknown config key {key.strip()!r}")
             values[key.strip()] = val.strip()
-        try:
-            w, _, h = values["resolution"].partition("x")
-            return cls(
-                num_blocks=int(values["num_blocks"]),
-                denoise_steps=int(values["denoise_steps"]),
-                timestep_schedule=tuple(
-                    int(t.strip()) for t in values["timestep_schedule"].split(",")
-                ),
-                guidance_scale=float(values["guidance_scale"]),
-                timestep_shift=float(values["timestep_shift"]),
-                latent_frames_per_block=int(values["latent_frames_per_block"]),
-                pixel_frames_first_block=int(values["pixel_frames_first_block"]),
-                pixel_frames_later_block=int(values["pixel_frames_later_block"]),
-                threshold=float(values["threshold"]),
-                seed=int(values["seed"]),
-                resolution=(int(w), int(h)),
-                score_forced_rejections=values.get("score_forced_rejections", "false") == "true",
-            )
-        except KeyError as exc:
-            raise ConfigError(f"config file missing field {exc.args[0]!r}") from exc
+        fields = {}
+        for key, parse in _CONFIG_PARSERS.items():
+            if key not in values:
+                if key == "score_forced_rejections":  # optional, default false
+                    continue
+                raise ConfigParseError(f"config file missing field {key!r}")
+            try:
+                fields[key] = parse(values[key])
+            except ValueError:
+                raise ConfigParseError(
+                    f"config field {key} has a malformed value: {values[key]!r}"
+                ) from None
+        return cls(**fields)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_text())
 
     @classmethod
     def load(cls, path: str | Path) -> GenerationConfig:
-        return cls.from_text(Path(path).read_text())
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigParseError(f"config file is not valid UTF-8: {exc}") from None
+        return cls.from_text(text)
+
+
+def _parse_resolution(text: str) -> tuple[int, int]:
+    w, _, h = text.partition("x")
+    return int(w), int(h)
+
+
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+# One parser per to_text key; a parser raises ValueError on malformed text.
+_CONFIG_PARSERS = {
+    "num_blocks": int,
+    "denoise_steps": int,
+    "timestep_schedule": lambda text: tuple(int(t) for t in text.split(",")),
+    "guidance_scale": float,
+    "timestep_shift": float,
+    "latent_frames_per_block": int,
+    "pixel_frames_first_block": int,
+    "pixel_frames_later_block": int,
+    "threshold": float,
+    "seed": int,
+    "resolution": _parse_resolution,
+    "score_forced_rejections": _parse_bool,
+}
 
 
 def default_config() -> GenerationConfig:
@@ -391,13 +423,6 @@ def keyed_generator(*parts: object) -> np.random.Generator:
 def noise_seed_for_block(master_seed: int, prompt_id: str, block_index: int) -> int:
     """Derive the per-block initial-noise seed shared by drafter and target."""
     return stable_key("noise", master_seed, prompt_id, block_index)
-
-
-def array_digest(arr: np.ndarray) -> str:
-    h = hashlib.blake2b(digest_size=16)
-    h.update(str(arr.shape).encode())
-    h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()
 
 
 def block_digest(block: LatentBlock) -> str:

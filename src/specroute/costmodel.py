@@ -57,8 +57,9 @@ class LatencyParams:
 
     def __post_init__(self) -> None:
         for name in ("c_draft", "c_target", "c_decode", "c_score"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not 0.0 <= value < float("inf"):  # also rejects NaN
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
     @property
     def overlap_factor(self) -> float:

@@ -9,6 +9,15 @@ accepts the draft into the target KV cache and emits its frames, or
 restores the decoder cache and has the target regenerate the block from
 the same noise seed.
 
+One draft serves every arm. run_arms_detailed routes one prompt under
+several arms (policy, aggregation, drafting) in lockstep: each block is
+drafted and committed to the drafter KV cache once, then every arm runs
+its own step on its own target KV cache and decoder state. This is sound
+because GeneratorInterface implementations are deterministic and the
+drafter conditions only on its own cache, never on routing, so each arm
+run alone would draft exactly the same blocks. For a real stack, one
+drafter pass serves every arm.
+
 Runs are strictly sequential within a video (block b+1 depends on block
 b's decision). Runs over different prompts share no mutable state and may
 execute in parallel.
@@ -20,7 +29,7 @@ import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .caches import CacheOwner, KVCache, RestorableState, decode_restore, decode_snapshot
 from .core import (
@@ -29,7 +38,6 @@ from .core import (
     FrameScoreVector,
     GenerationConfig,
     LatentBlock,
-    Producer,
     PromptSpec,
     RunSummary,
     Verdict,
@@ -46,6 +54,8 @@ __all__ = [
     "ScorerInterface",
     "BlockExecutionError",
     "RunResult",
+    "Arm",
+    "run_arms_detailed",
     "run_video",
     "run_video_detailed",
     "append_run_record",
@@ -60,10 +70,6 @@ class GeneratorInterface(ABC):
     Implementations must be deterministic: identical (noise_seed, kv
     contents, block_index, prompt) produce identical output.
     """
-
-    @property
-    @abstractmethod
-    def cost_class(self) -> Producer: ...
 
     @abstractmethod
     def generate(
@@ -107,11 +113,92 @@ class RunResult:
     target_kv: KVCache
 
 
+class Arm(NamedTuple):
+    """One way to route a run: a policy, its score aggregation, and whether it drafts.
+
+    With draft_enabled=False the arm never uses the draft and every block
+    is generated by the target directly; this is the pure target-only
+    deployment used as the speedup baseline, and its per-block cost is
+    c_target alone (emission decode is folded into c_target by the fit).
+    """
+
+    policy: Policy
+    aggregation: AggregationMode = AggregationMode.MIN_FRAME
+    draft_enabled: bool = True
+
+
 def _guard(block_index: int, stage: str, fn, *args):
     try:
         return fn(*args)
     except Exception as exc:
         raise BlockExecutionError(block_index, stage, exc) from exc
+
+
+def run_arms_detailed(
+    config: GenerationConfig,
+    prompt: PromptSpec,
+    drafter: GeneratorInterface | None,
+    target: GeneratorInterface,
+    decoder: DecoderInterface,
+    scorer: ScorerInterface | None,
+    arms: Sequence[Arm],
+    latency: LatencyParams | None,
+    quality_fn: QualityFn | None = None,
+) -> list[RunResult]:
+    """Run one video under every arm in lockstep; one RunResult per arm, in order.
+
+    Each block's draft is generated and committed once, and every result
+    shares the one drafter KVCache (empty when no arm drafts). Each result
+    equals that of the arm run alone. Arms must not share a stateful
+    policy such as a RandomPolicy, whose draws would interleave.
+    """
+    if latency is None:
+        raise ValueError("run_video requires latency params to attribute block timings")
+    drafting = any(arm.draft_enabled for arm in arms)
+    if drafting and drafter is None:
+        raise ValueError("draft_enabled runs need a drafter")
+    if drafting and scorer is None:
+        raise ValueError("draft_enabled runs need a scorer")
+
+    drafter_kv = KVCache(CacheOwner.DRAFTER)
+    # Per arm: (arm, target KV cache, decoder state, traces, emitted frames).
+    lanes = [(arm, KVCache(CacheOwner.TARGET), decoder.fresh_state(), [], []) for arm in arms]
+    for b in range(config.num_blocks):
+        nseed = noise_seed_for_block(config.seed, prompt.prompt_id, b)
+        if drafting:
+            draft = _guard(b, "drafter", drafter.generate, nseed, drafter_kv, b, prompt)
+            # Unconditional: the drafter conditions on its own outputs, never on routing.
+            drafter_kv.commit(draft)
+        expected = pixel_frame_count(config, b)
+        for arm, target_kv, state, traces, emitted in lanes:
+            if arm.draft_enabled:
+                trace, frames = _run_block_drafted(
+                    config, prompt, target, decoder, scorer, arm, latency, b, nseed,
+                    draft, target_kv, state,
+                )
+            else:
+                trace, frames = _run_block_target_only(
+                    prompt, target, decoder, arm.policy, latency, b, nseed, target_kv, state,
+                )
+            if len(frames.frames) != expected:
+                error = ValueError(f"expected {expected} frames, got {len(frames.frames)}")
+                raise BlockExecutionError(b, "decode", error)
+            traces.append(trace)
+            emitted.append(frames)
+
+    results = []
+    for _, target_kv, _, traces, emitted in lanes:
+        accepted = sum(1 for t in traces[1:] if t.decision.accepted)
+        rate = accepted / (config.num_blocks - 1) if config.num_blocks > 1 else 0.0
+        summary = RunSummary(
+            prompt_id=prompt.prompt_id,
+            accept_rate_excl_block0=rate,
+            total_time_s=simulate_time(traces, latency),
+            quality_proxy=quality_fn(traces) if quality_fn is not None else float("nan"),
+            block_traces=tuple(traces),
+        )
+        results.append(RunResult(summary, tuple(emitted), drafter_kv, target_kv))
+    return results
 
 
 def run_video_detailed(
@@ -127,66 +214,18 @@ def run_video_detailed(
     quality_fn: QualityFn | None = None,
     draft_enabled: bool = True,
 ) -> RunResult:
-    """Run one video and keep every artifact (frames, caches, traces).
-
-    With draft_enabled=False the drafter never runs and every block is
-    generated by the target directly; this is the pure target-only
-    deployment used as the speedup baseline, and its per-block cost is
-    c_target alone (emission decode is folded into c_target by the fit).
-    """
-    if latency is None:
-        raise ValueError("run_video requires latency params to attribute block timings")
-    if draft_enabled and drafter is None:
-        raise ValueError("draft_enabled runs need a drafter")
-    if draft_enabled and scorer is None:
-        raise ValueError("draft_enabled runs need a scorer")
-
-    drafter_kv = KVCache(CacheOwner.DRAFTER)
-    target_kv = KVCache(CacheOwner.TARGET)
-    state = decoder.fresh_state()
-    traces: list[BlockTrace] = []
-    emitted: list[DecodedFrames] = []
-
-    for b in range(config.num_blocks):
-        nseed = noise_seed_for_block(config.seed, prompt.prompt_id, b)
-        if draft_enabled:
-            trace, frames = _run_block_drafted(
-                config, prompt, drafter, target, decoder, scorer, policy,
-                aggregation, latency, b, nseed, drafter_kv, target_kv, state,
-            )
-        else:
-            trace, frames = _run_block_target_only(
-                config, prompt, target, decoder, policy, latency, b, nseed,
-                target_kv, state,
-            )
-        expected = pixel_frame_count(config, b)
-        if len(frames.frames) != expected:
-            raise BlockExecutionError(
-                b, "decode", ValueError(f"expected {expected} frames, got {len(frames.frames)}")
-            )
-        traces.append(trace)
-        emitted.append(frames)
-
-    accepted = sum(1 for t in traces[1:] if t.decision.accepted)
-    rate = accepted / (config.num_blocks - 1) if config.num_blocks > 1 else 0.0
-    summary = RunSummary(
-        prompt_id=prompt.prompt_id,
-        accept_rate_excl_block0=rate,
-        total_time_s=simulate_time(traces, latency),
-        quality_proxy=quality_fn(traces) if quality_fn is not None else float("nan"),
-        block_traces=tuple(traces),
+    """Run one video under one Arm and keep every artifact (frames, caches, traces)."""
+    (result,) = run_arms_detailed(
+        config, prompt, drafter, target, decoder, scorer,
+        [Arm(policy, aggregation, draft_enabled)], latency, quality_fn,
     )
-    return RunResult(summary, tuple(emitted), drafter_kv, target_kv)
+    return result
 
 
 def _run_block_drafted(
-    config, prompt, drafter, target, decoder, scorer, policy, aggregation,
-    latency, b, nseed, drafter_kv, target_kv, state,
+    config, prompt, target, decoder, scorer, arm, latency, b, nseed, draft, target_kv, state,
 ) -> tuple[BlockTrace, DecodedFrames]:
-    draft = _guard(b, "drafter", drafter.generate, nseed, drafter_kv, b, prompt)
-    # Unconditional: the drafter conditions on its own outputs, never on routing.
-    drafter_kv.commit(draft)
-
+    policy = arm.policy
     snapshot = decode_snapshot(state, b)
     draft_frames = _guard(b, "decode", decoder.decode, draft, state)
 
@@ -200,7 +239,7 @@ def _run_block_drafted(
             for frame in draft_frames.frames
         ]
         scores = FrameScoreVector(b, tuple(raw))
-        q = aggregate(scores, aggregation)
+        q = aggregate(scores, arm.aggregation)
         score_time = latency.c_score
 
     decision = policy.decide(b, q)
@@ -229,7 +268,7 @@ def _run_block_drafted(
 
 
 def _run_block_target_only(
-    config, prompt, target, decoder, policy, latency, b, nseed, target_kv, state,
+    prompt, target, decoder, policy, latency, b, nseed, target_kv, state,
 ) -> tuple[BlockTrace, DecodedFrames]:
     decision = policy.decide(b, None)
     if decision.verdict is not Verdict.REJECT:
@@ -237,12 +276,7 @@ def _run_block_target_only(
     block = _guard(b, "target", target.generate, nseed, target_kv, b, prompt)
     target_kv.commit(block)
     frames = _guard(b, "decode", decoder.decode, block, state)
-    trace = BlockTrace(
-        block_index=b,
-        decision=decision,
-        target_time_s=latency.c_target,
-    )
-    return trace, frames
+    return BlockTrace(block_index=b, decision=decision, target_time_s=latency.c_target), frames
 
 
 def run_video(

@@ -32,7 +32,6 @@ __all__ = [
     "RandomPolicy",
     "AlwaysAcceptPolicy",
     "AlwaysRejectPolicy",
-    "decide",
     "matched_random_policy",
     "policy_from_flags",
 ]
@@ -79,18 +78,12 @@ class Policy:
     def forces_rejection(self, block_index: int) -> bool:
         return self.force_reject_block0 and block_index == 0
 
-    def requires_score(self, block_index: int) -> bool:
-        return False
-
     def decide(self, block_index: int, q: float | None) -> RoutingDecision:
         if self.forces_rejection(block_index):
             return _FORCED
         return self._decide_unforced(block_index, q)
 
     def _decide_unforced(self, block_index: int, q: float | None) -> RoutingDecision:
-        raise NotImplementedError
-
-    def label(self) -> str:
         raise NotImplementedError
 
 
@@ -101,18 +94,12 @@ class ThresholdPolicy(Policy):
     tau: float = -0.7
     force_reject_block0: bool = True
 
-    def requires_score(self, block_index: int) -> bool:
-        return not self.forces_rejection(block_index)
-
     def _decide_unforced(self, block_index: int, q: float | None) -> RoutingDecision:
         if q is None:
             raise ValueError(f"threshold policy needs a score for block {block_index}")
         if q >= self.tau:
             return _ABOVE
         return _BELOW
-
-    def label(self) -> str:
-        return f"threshold(tau={self.tau:g})"
 
 
 @dataclass(kw_only=True)
@@ -138,10 +125,6 @@ class RandomPolicy(Policy):
             return _RANDOM_ACCEPT
         return _RANDOM_REJECT
 
-    def label(self) -> str:
-        prefix = "force_reject_random" if self.force_reject_block0 else "random"
-        return f"{prefix}(rate={self.accept_prob:g})"
-
 
 @dataclass(kw_only=True)
 class AlwaysAcceptPolicy(Policy):
@@ -150,9 +133,6 @@ class AlwaysAcceptPolicy(Policy):
     def _decide_unforced(self, block_index: int, q: float | None) -> RoutingDecision:
         return _ALWAYS_ACCEPT
 
-    def label(self) -> str:
-        return "always_accept"
-
 
 @dataclass(kw_only=True)
 class AlwaysRejectPolicy(Policy):
@@ -160,13 +140,6 @@ class AlwaysRejectPolicy(Policy):
 
     def _decide_unforced(self, block_index: int, q: float | None) -> RoutingDecision:
         return _ALWAYS_REJECT
-
-    def label(self) -> str:
-        return "always_reject"
-
-
-def decide(policy: Policy, block_index: int, q: float | None) -> RoutingDecision:
-    return policy.decide(block_index, q)
 
 
 def matched_random_policy(

@@ -3,20 +3,23 @@
 A sweep simulates many prompts per arm and reduces to one row per arm.
 Baselines (pure target-only and draft-only) are always included because
 every speedup is defined against the same sweep's target-only row.
-Prompts within an arm are independent and may run in parallel; results
-are reduced in prompt order, so worker scheduling never changes output.
+Prompts are the unit of parallelism: one prompt's arms run in lockstep
+(engine.run_arms_detailed), sharing one drafter pass, and prompts are
+independent, so chunks of them may run in parallel. Each arm reduces in
+prompt order, so worker scheduling never changes output.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .core import GenerationConfig, PromptSpec, default_config, stable_key
-from .engine import run_video
+from .engine import Arm, run_arms_detailed
 from .router import (
     AggregationMode,
     AlwaysAcceptPolicy,
@@ -157,61 +160,24 @@ def _prompt_spec(index: int) -> PromptSpec:
     return PromptSpec(prompt_id=f"p{index:05d}", text=f"synthetic prompt {index}")
 
 
-def _simulate_arm_chunk(
-    arm: ArmSpec,
-    calibration: Calibration,
-    config: GenerationConfig,
-    indices: Sequence[int],
-    seed: int,
-) -> list[tuple[float, float, float]]:
-    """Run one arm over a chunk of prompts; returns (quality, time, accept)."""
+def _simulate_chunk(
+    arms: Sequence[ArmSpec], calibration: Calibration, config: GenerationConfig,
+    indices: Sequence[int], seed: int,
+) -> list[list[tuple[float, float, float]]]:
+    """Run every arm over a chunk of prompts; per prompt, each arm's (quality, time, accept)."""
     stack = build_synthetic_stack(calibration, config)
     out = []
     for i in indices:
-        policy = arm.build_policy(seed, i)
-        summary = run_video(
-            config,
-            _prompt_spec(i),
-            stack.drafter,
-            stack.target,
-            stack.decoder,
-            stack.scorer,
-            policy,
-            aggregation=arm.aggregation,
-            latency=calibration.latency,
-            quality_fn=calibration.proxy.run_quality,
-            draft_enabled=arm.draft_enabled,
+        results = run_arms_detailed(
+            config, _prompt_spec(i), stack.drafter, stack.target, stack.decoder, stack.scorer,
+            [Arm(arm.build_policy(seed, i), arm.aggregation, arm.draft_enabled) for arm in arms],
+            calibration.latency, calibration.proxy.run_quality,
         )
-        out.append(
-            (summary.quality_proxy, summary.total_time_s, summary.accept_rate_excl_block0)
-        )
+        out.append([
+            (r.summary.quality_proxy, r.summary.total_time_s, r.summary.accept_rate_excl_block0)
+            for r in results
+        ])
     return out
-
-
-def _simulate_arm(
-    arm: ArmSpec,
-    calibration: Calibration,
-    config: GenerationConfig,
-    num_prompts: int,
-    seed: int,
-    jobs: int,
-    executor: ProcessPoolExecutor | None,
-) -> tuple[float, float, float]:
-    indices = range(num_prompts)
-    if executor is None:
-        results = _simulate_arm_chunk(arm, calibration, config, list(indices), seed)
-    else:
-        chunk = max(1, (num_prompts + jobs - 1) // jobs)
-        chunks = [list(indices[i : i + chunk]) for i in range(0, num_prompts, chunk)]
-        futures = [
-            executor.submit(_simulate_arm_chunk, arm, calibration, config, c, seed)
-            for c in chunks
-        ]
-        results = [item for f in futures for item in f.result()]
-    quality = math.fsum(r[0] for r in results) / len(results)
-    time_s = math.fsum(r[1] for r in results) / len(results)
-    accept = math.fsum(r[2] for r in results) / len(results)
-    return quality, time_s, accept
 
 
 def run_arms(
@@ -233,33 +199,32 @@ def run_arms(
     config = config.with_overrides(seed=seed)
     calibration = calibration.with_seed(seed)
 
-    executor = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        stats = {
-            arm.label: _simulate_arm(
-                arm, calibration, config, num_prompts, seed, jobs, executor
-            )
-            for arm in arms
-        }
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    workers = min(jobs, os.cpu_count() or 1)
+    indices = list(range(num_prompts))
+    if workers > 1:
+        size = -(-num_prompts // workers)
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            futures = [
+                executor.submit(
+                    _simulate_chunk, arms, calibration, config, indices[i : i + size], seed
+                )
+                for i in range(0, num_prompts, size)
+            ]
+            per_prompt = [stats for f in futures for stats in f.result()]
+    else:
+        per_prompt = _simulate_chunk(arms, calibration, config, indices, seed)
 
-    target_time = stats["target_only"][1]
-    rows = []
-    for arm in arms:
-        quality, time_s, accept = stats[arm.label]
-        rows.append(
-            SweepRow(
-                label=arm.label,
-                tau=arm.tau,
-                quality=quality,
-                time_s=time_s,
-                speedup=target_time / time_s,
-                accept_rate=accept,
-            )
-        )
-    return rows
+    # Each arm reduces over prompts in prompt order.
+    stats = [
+        [math.fsum(p[k][j] for p in per_prompt) / num_prompts for j in range(3)]
+        for k in range(len(arms))
+    ]
+    target_time = stats[labels.index("target_only")][1]
+    return [
+        SweepRow(label=arm.label, tau=arm.tau, quality=quality, time_s=time_s,
+                 speedup=target_time / time_s, accept_rate=accept)
+        for arm, (quality, time_s, accept) in zip(arms, stats)
+    ]
 
 
 def run_sweep(

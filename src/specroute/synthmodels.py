@@ -59,6 +59,7 @@ from .engine import DecoderInterface, GeneratorInterface, ScorerInterface
 
 __all__ = [
     "CalibrationError",
+    "CalibrationValueError",
     "DraftQualityModel",
     "fit_quantile",
     "fit_frame_gap",
@@ -88,6 +89,10 @@ QUALITY_FIT_TOLERANCE = 5e-4
 
 class CalibrationError(RuntimeError):
     """A calibration fit is infeasible or its inputs are malformed."""
+
+
+class CalibrationValueError(CalibrationError):
+    """A calibration file parses, but one of its values breaks a model invariant."""
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +190,6 @@ class DraftQualityModel:
         scores[pin] = minimum
         scores[pin + 1 :] = minimum + offsets[pin:]
         return FrameScoreVector(block_index, tuple(float(s) for s in scores))
-
-    # -- segment masses (used by the quality-proxy fit) ----------------------
-
-    def mass_at_least(self, tau: float) -> float:
-        return self.accept_rate(tau)
 
     def to_dict(self) -> dict:
         return {
@@ -563,10 +563,22 @@ class Calibration:
 
     @classmethod
     def from_json(cls, text: str) -> Calibration:
+        """Parse a calibration file.
+
+        Every value but latency.overlap_mode must be a JSON number. Bad JSON,
+        a missing key, a wrong shape or a value that is not a number raises
+        CalibrationError; a number that breaks a model invariant (such as a
+        negative latency) raises CalibrationValueError.
+        """
         try:
             doc = json.loads(text)
+            for path, value in _non_numbers(doc, "calibration"):
+                if path != "calibration.latency.overlap_mode":
+                    raise CalibrationError(f"{path} is not a number: {value!r}")
         except json.JSONDecodeError as exc:
             raise CalibrationError(f"calibration file is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise CalibrationError("calibration file is nested too deeply") from None
         try:
             return cls(
                 quantile=DraftQualityModel.from_dict(doc["draft_quality"]),
@@ -574,16 +586,36 @@ class Calibration:
                 proxy=QualityProxyModel.from_dict(doc["quality_proxy"]),
             )
         except KeyError as exc:
-            raise CalibrationError(f"calibration file missing section {exc.args[0]!r}") from exc
+            raise CalibrationError(f"calibration file missing key {exc.args[0]!r}") from exc
+        except TypeError as exc:
+            raise CalibrationError(f"calibration file has the wrong shape: {exc}") from exc
+        except (CalibrationError, ValueError) as exc:
+            raise CalibrationValueError(str(exc)) from exc
 
     @classmethod
     def load(cls, path: str | Path) -> Calibration:
-        return cls.from_json(Path(path).read_text())
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise CalibrationError(f"calibration file is not valid UTF-8: {exc}") from None
+        return cls.from_json(text)
 
     def with_seed(self, seed: int) -> Calibration:
         """Same fitted curves, different sampling stream."""
         quantile = DraftQualityModel.from_dict({**self.quantile.to_dict(), "rng_seed": seed})
         return Calibration(quantile=quantile, latency=self.latency, proxy=self.proxy)
+
+
+def _non_numbers(value, path: str):
+    """Yield (path, value) for every leaf under value that is not a JSON number."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_numbers(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _non_numbers(item, f"{path}[{i}]")
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        yield path, value
 
 
 def synthetic_table(calibration: Calibration, num_blocks: int = 9) -> ReferenceTable:
@@ -792,10 +824,6 @@ class SyntheticDrafter(GeneratorInterface):
         self.quality = quality
         self.config = config
 
-    @property
-    def cost_class(self) -> Producer:
-        return Producer.DRAFT
-
     def generate(
         self, noise_seed: int, kv: KVCache, block_index: int, prompt: PromptSpec
     ) -> LatentBlock:
@@ -815,10 +843,6 @@ class SyntheticTarget(GeneratorInterface):
     def __init__(self, config: GenerationConfig, frame_score: float = TARGET_FRAME_SCORE):
         self.config = config
         self.frame_score = frame_score
-
-    @property
-    def cost_class(self) -> Producer:
-        return Producer.TARGET
 
     def generate(
         self, noise_seed: int, kv: KVCache, block_index: int, prompt: PromptSpec

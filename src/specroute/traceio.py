@@ -34,7 +34,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     BlockTrace,
@@ -196,8 +196,27 @@ def parse_trace_text(text: str) -> list[ExternalTraceRecord]:
 
 
 def parse_trace_file(path: str | Path) -> list[ExternalTraceRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_trace(fh)
+    """Parse a UTF-8 trace file; invalid UTF-8 is a TraceFormatError naming its line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_trace(fh)
+    except UnicodeDecodeError:
+        pass
+    # Text mode decodes 8 KB at a time, so its error names no line. Read
+    # again with undecodable bytes kept as lone surrogates, and stop at the
+    # first line that holds one (or at any earlier error).
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        return parse_trace(_utf8_lines(fh))
+
+
+def _utf8_lines(lines: Iterable[str]) -> Iterator[str]:
+    for line_number, line in enumerate(lines, start=1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(line[exc.start]) - 0xDC00
+            raise TraceFormatError(f"invalid UTF-8 (byte 0x{byte:02x})", line_number) from None
+        yield line
 
 
 def serialize_record(record: ExternalTraceRecord) -> str:

@@ -16,7 +16,6 @@ from specroute.caches import (
     SnapshotMismatchError,
     decode_restore,
     decode_snapshot,
-    kv_commit,
 )
 from specroute.core import GenerationConfig, LatentBlock, Producer, default_config
 from specroute.synthmodels import SyntheticDecoder
@@ -30,7 +29,7 @@ def make_block(index: int, producer: Producer = Producer.DRAFT, fill: float = 0.
 class TestKVCache:
     def test_commit_to_empty(self):
         cache = KVCache(CacheOwner.DRAFTER)
-        kv_commit(cache, make_block(0))
+        cache.commit(make_block(0))
         assert len(cache) == 1
 
     def test_commit_keeps_prior_digest(self):

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from specroute.cli import main
+from specroute.core import default_config
 from specroute.synthmodels import (
     Calibration,
     fit_calibration,
@@ -96,6 +97,58 @@ class TestSimulate:
             main(flags + ["--calibration", str(cal_path), "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "ablate"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_non_positive_jobs_is_usage_error(self, cal_path, tmp_path, command, jobs):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", "1", "--jobs", jobs, "--calibration", str(cal_path),
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "value,code", [(-1.0, 4), (float("inf"), 4), ("abc", 3)],
+        ids=["negative", "infinite", "not_a_number"],
+    )
+    def test_bad_latency_value_in_calibration(self, cal_path, tmp_path, capsys, value, code):
+        doc = json.loads(cal_path.read_text())
+        doc["latency"]["c_draft"] = value
+        bad = tmp_path / "cal.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["simulate", "--calibration", str(bad), "--out", str(tmp_path / "o")]) == code
+        assert "c_draft" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth", [600, 990, 100_000])
+    def test_deeply_nested_calibration_is_parse_error(self, tmp_path, depth):
+        bad = tmp_path / "cal.json"
+        bad.write_text('{"latency": ' + "[" * depth + "]" * depth + "}")
+        assert main(["simulate", "--calibration", str(bad), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize(
+        "line,code,named",
+        [("num_blocks = abc", 3, "num_blocks"), ("num_blokcs = 9", 3, "num_blokcs"),
+         ("num_blocks = 0", 4, "num_blocks")],
+        ids=["not_a_number", "unknown_key", "breaks_invariant"],
+    )
+    def test_bad_config_file(self, cal_path, tmp_path, capsys, line, code, named):
+        text = default_config().to_text()
+        assert "num_blocks = 9\n" in text
+        bad = tmp_path / "run.cfg"
+        bad.write_text(text.replace("num_blocks = 9\n", line + "\n"))
+        args = ["simulate", "--calibration", str(cal_path), "--config", str(bad),
+                "--out", str(tmp_path / "o")]
+        assert main(args) == code
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--calibration", "--config"])
+    def test_invalid_utf8_input_file_is_parse_error(self, cal_path, tmp_path, flag):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe not text\n")
+        args = ["simulate", "--calibration", str(cal_path), flag, str(bad),
+                "--out", str(tmp_path / "o")]
+        assert main(args) == 3
 
     def test_blocks_override_is_applied(self, cal_path, tmp_path):
         out = tmp_path / "runs.jsonl"
@@ -247,6 +300,16 @@ class TestReplayCommand:
         bad.write_text(
             '{"prompt_id":"p0","block_index":0,"frame_scores":[0.5]}\n'
             '{"prompt_id":"p0","block_index":1,' + fields + "}\n"
+        )
+        assert main(["replay", "--trace", str(bad), "--tau", "-0.7",
+                     "--out", str(tmp_path / "o.json")]) == 3
+        assert "line 2" in capsys.readouterr().err
+
+    def test_invalid_utf8_is_parse_error_naming_the_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(
+            b'{"prompt_id":"p0","block_index":0,"frame_scores":[0.5]}\n'
+            b'{"prompt_id":"p\xff","block_index":0,"frame_scores":[0.5]}\n'
         )
         assert main(["replay", "--trace", str(bad), "--tau", "-0.7",
                      "--out", str(tmp_path / "o.json")]) == 3

@@ -7,6 +7,7 @@ import pytest
 
 from specroute.core import (
     ConfigError,
+    ConfigParseError,
     DecisionReason,
     FrameScoreVector,
     GenerationConfig,
@@ -99,6 +100,25 @@ class TestConfigSerialization:
         text = default_config().to_text().replace("seed = 42\n", "")
         with pytest.raises(ConfigError, match="seed"):
             GenerationConfig.from_text(text)
+
+    @pytest.mark.parametrize(
+        "old,new,named",
+        [("seed = 42", "seed = 4x2", "seed"), ("seed = 42", "sede = 42", "sede"),
+         ("score_forced_rejections = false", "score_forced_rejections = yes",
+          "score_forced_rejections")],
+        ids=["not_a_number", "unknown_key", "not_a_boolean"],
+    )
+    def test_malformed_values_are_parse_errors(self, old, new, named):
+        text = default_config().to_text()
+        assert old in text
+        with pytest.raises(ConfigParseError, match=named):
+            GenerationConfig.from_text(text.replace(old, new))
+
+    def test_invariant_violation_is_not_a_parse_error(self):
+        text = default_config().to_text().replace("num_blocks = 9", "num_blocks = 0")
+        with pytest.raises(ConfigError) as exc:
+            GenerationConfig.from_text(text)
+        assert not isinstance(exc.value, ConfigParseError)
 
 
 class TestPixelFrameCount:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specroute.core import (
     GenerationConfig,
@@ -15,8 +17,10 @@ from specroute.core import (
     summary_to_dict,
 )
 from specroute.engine import (
+    Arm,
     BlockExecutionError,
     append_run_record,
+    run_arms_detailed,
     run_video,
     run_video_detailed,
 )
@@ -272,6 +276,105 @@ class TestErrorHandling:
     def test_quality_defaults_to_nan(self, stack, calibration, config):
         summary = run(stack, calibration, config, ThresholdPolicy()).summary
         assert math.isnan(summary.quality_proxy)
+
+
+# Arm descriptions; each run builds fresh policies, since a RandomPolicy is stateful.
+arm_descriptions = st.one_of(
+    st.tuples(st.just("threshold"), st.floats(-3.0, 0.5), st.just(True)),
+    st.tuples(st.just("mean_frame"), st.floats(-3.0, 0.5), st.just(True)),
+    st.tuples(st.just("random"), st.floats(0.0, 1.0), st.booleans()),
+    st.tuples(st.just("always_accept"), st.none(), st.booleans()),
+    st.tuples(st.just("always_reject"), st.none(), st.booleans()),
+    st.tuples(st.just("target_only"), st.none(), st.just(False)),
+)
+
+
+def make_arm(description, index: int) -> Arm:
+    kind, value, force = description
+    if kind in ("threshold", "mean_frame"):
+        mode = AggregationMode.MEAN_FRAME if kind == "mean_frame" else AggregationMode.MIN_FRAME
+        return Arm(ThresholdPolicy(tau=value, force_reject_block0=force), mode)
+    if kind == "random":
+        return Arm(RandomPolicy(accept_prob=value, force_reject_block0=force, rng_seed=index))
+    if kind == "always_accept":
+        return Arm(AlwaysAcceptPolicy(force_reject_block0=force))
+    if kind == "always_reject":
+        return Arm(AlwaysRejectPolicy(force_reject_block0=force))
+    return Arm(AlwaysRejectPolicy(), draft_enabled=False)
+
+
+class TestLockstepArms:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        descriptions=st.lists(arm_descriptions, min_size=1, max_size=6),
+        num_blocks=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        score_forced=st.booleans(),
+    )
+    def test_each_lane_equals_its_solo_run(
+        self, calibration, descriptions, num_blocks, seed, score_forced
+    ):
+        config = GenerationConfig(
+            num_blocks=num_blocks, seed=seed, score_forced_rejections=score_forced
+        )
+        cal = calibration.with_seed(seed)
+        stack = build_synthetic_stack(cal, config)
+        prompt = PromptSpec(f"lock{seed}")
+        models = (stack.drafter, stack.target, stack.decoder, stack.scorer)
+
+        def solo(arm: Arm):
+            return run_video_detailed(
+                config, prompt, *models, arm.policy, arm.aggregation,
+                cal.latency, cal.proxy.run_quality, arm.draft_enabled,
+            )
+
+        arms = [make_arm(d, i) for i, d in enumerate(descriptions)]
+        lanes = run_arms_detailed(
+            config, prompt, *models, arms, cal.latency, cal.proxy.run_quality
+        )
+        drafted = solo(Arm(AlwaysAcceptPolicy()))
+        assert len(lanes) == len(arms)
+        for i, (description, lane) in enumerate(zip(descriptions, lanes)):
+            alone = solo(make_arm(description, i))
+            assert lane.summary == alone.summary
+            assert len(lane.emitted_frames) == len(alone.emitted_frames) == num_blocks
+            for mine, theirs in zip(lane.emitted_frames, alone.emitted_frames):
+                assert len(mine.frames) == len(theirs.frames)
+                for a, b in zip(mine.frames, theirs.frames):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
+            assert lane.target_kv.digests() == alone.target_kv.digests()
+            assert lane.drafter_kv is lanes[0].drafter_kv
+        if any(arm.draft_enabled for arm in arms):
+            assert lanes[0].drafter_kv.digests() == drafted.drafter_kv.digests()
+        else:
+            assert len(lanes[0].drafter_kv) == 0
+
+    def test_drafter_runs_once_per_block(self, stack, calibration, config):
+        calls = []
+
+        class CountingDrafter(type(stack.drafter)):
+            def generate(self, noise_seed, kv, block_index, prompt):
+                calls.append(block_index)
+                return super().generate(noise_seed, kv, block_index, prompt)
+
+        drafter = CountingDrafter(stack.drafter.quality, config)
+        arms = [Arm(ThresholdPolicy()), Arm(AlwaysAcceptPolicy()),
+                Arm(AlwaysRejectPolicy(), draft_enabled=False)]
+        run_arms_detailed(
+            config, PromptSpec("once"), drafter, stack.target, stack.decoder, stack.scorer,
+            arms, calibration.latency,
+        )
+        assert calls == list(range(config.num_blocks))
+
+    def test_target_only_arms_never_draft(self, stack, calibration, config):
+        lanes = run_arms_detailed(
+            config, PromptSpec("t"), None, stack.target, stack.decoder, None,
+            [Arm(AlwaysRejectPolicy(), draft_enabled=False)] * 2, calibration.latency,
+            calibration.proxy.run_quality,
+        )
+        assert [len(lane.drafter_kv) for lane in lanes] == [0, 0]
+        assert lanes[0].summary == lanes[1].summary
 
 
 def test_append_run_record(tmp_path, stack, calibration, config):

@@ -14,7 +14,6 @@ from specroute.router import (
     RandomPolicy,
     ThresholdPolicy,
     aggregate,
-    decide,
     matched_random_policy,
     policy_from_flags,
 )
@@ -169,7 +168,7 @@ class TestFixedPolicies:
         assert d.verdict is Verdict.REJECT and d.reason is DecisionReason.FORCED_FIRST_BLOCK
 
     def test_decide_function_delegates(self):
-        assert decide(AlwaysAcceptPolicy(), 1, None).accepted
+        assert AlwaysAcceptPolicy().decide(1, None).accepted
 
 
 class TestPolicyFromFlags:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import random
+from concurrent.futures import Future
 
 import pytest
 
+from specroute import sweep
 from specroute.sweep import (
     SweepRow,
     SweepSpec,
@@ -112,6 +115,23 @@ class TestRunSweep:
             if label.startswith("threshold"):
                 assert random_quality < row.quality
 
+    @pytest.mark.parametrize(
+        "seed,digest",
+        [
+            (42, "b74231f83019e15f2f5e0635f2e01eef37fd7bdc1b2baa21679645cfb4505b84"),
+            (7, "8a9781511bcc64f1e40bb111c33090c20485b82afa17a55b9533d8f8ad795254"),
+        ],
+    )
+    def test_sweep_and_ablation_csv_is_pinned(self, calibration, seed, digest):
+        # Digests of the output before one prompt's arms ran in lockstep.
+        spec = SweepSpec(thresholds=(-0.7, -0.8, -0.9, -1.0, -1.5, -2.0, -2.5), num_prompts=12,
+                         seed=seed)
+        ablation = [target_only_arm()] + ablation_arms() + [draft_only_arm()]
+        text = rows_to_csv(run_sweep(spec, calibration)) + rows_to_csv(
+            run_arms(ablation, 12, seed, calibration)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_duplicate_labels_rejected(self, calibration):
         with pytest.raises(ValueError):
             run_arms([target_only_arm(), target_only_arm()], 1, 0, calibration)
@@ -213,3 +233,41 @@ class TestCsv:
 
     def test_csv_deterministic(self, small_rows):
         assert rows_to_csv(small_rows) == rows_to_csv(small_rows)
+
+
+class InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs tasks inline."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers: int):
+        InlineExecutor.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestJobs:
+    ARMS = [target_only_arm(), threshold_arm(-0.7), random_arm(0.5, force_reject_block0=True)]
+
+    @pytest.fixture()
+    def inline(self, monkeypatch):
+        InlineExecutor.created = []
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlineExecutor)
+        return InlineExecutor
+
+    @pytest.mark.parametrize("jobs,cpus,workers", [(64, 3, [3]), (2, 3, [2]), (8, None, [])])
+    def test_workers_capped_at_cpu_count(self, calibration, monkeypatch, inline, jobs, cpus,
+                                         workers):
+        serial = run_arms(self.ARMS, 7, 4, calibration)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+        assert run_arms(self.ARMS, 7, 4, calibration, jobs=jobs) == serial
+        assert inline.created == workers

@@ -16,6 +16,7 @@ from specroute.synthmodels import build_synthetic_stack
 from specroute.traceio import (
     ExternalTraceRecord,
     TraceFormatError,
+    parse_trace_file,
     parse_trace_text,
     records_from_traces,
     replay,
@@ -133,6 +134,21 @@ class TestParse:
     def test_deep_nesting_names_line(self):
         with pytest.raises(TraceFormatError, match="line 1: invalid JSON"):
             parse_trace_text("[" * 100_000 + "\n")
+
+    def test_invalid_utf8_past_the_first_chunk_names_its_line(self, tmp_path):
+        # 300 good lines fill several 8 KB decode chunks before the bad byte.
+        good = serialize_records(make_records("p0", num_blocks=300)).encode()
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(good + b'{"prompt_id":"\xc3","block_index":300}\n')
+        assert len(good) > 3 * 8192
+        with pytest.raises(TraceFormatError, match=r"line 301: invalid UTF-8 \(byte 0xc3\)"):
+            parse_trace_file(path)
+
+    def test_earlier_json_error_wins_over_invalid_utf8(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{broken\n{"prompt_id":"\xff"}\n')
+        with pytest.raises(TraceFormatError, match="line 1: invalid JSON"):
+            parse_trace_file(path)
 
 
 record_strategy = st.builds(
