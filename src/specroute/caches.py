@@ -83,6 +83,16 @@ class KVCache:
         self._entries.append(entry)
         return entry
 
+    def fork(self) -> KVCache:
+        """An independent cache holding the same (immutable) entries.
+
+        Later commits to either cache leave the other unchanged; the
+        fork re-verifies every inherited entry on its own commits.
+        """
+        twin = KVCache(self.owner)
+        twin._entries = self._entries.copy()
+        return twin
+
     def verify_integrity(self) -> None:
         for entry in self._entries:
             if block_digest(entry.block) != entry.digest:

@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .core import (
@@ -39,6 +40,7 @@ from .sweep import (
     ablation_arms,
     draft_only_arm,
     pareto_check,
+    random_arm,
     rows_to_csv,
     rows_to_json_dict,
     run_arms,
@@ -86,10 +88,29 @@ def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _write_text(path: str, text: str) -> None:
+def _unreadable(what: str, path, exc: OSError) -> CliFailure:
+    """A missing or unreadable input file: a validation error naming the file."""
+    if isinstance(exc, FileNotFoundError):
+        return CliFailure(EXIT_VALIDATION, f"{what} not found: {path}")
+    reason = exc.strerror or type(exc).__name__
+    return CliFailure(EXIT_VALIDATION, f"cannot read {what} {path}: {reason}")
+
+
+@contextmanager
+def _writing(flag: str, path):
+    """Turn a failure to write an output file into a usage error naming its flag."""
+    try:
+        yield
+    except OSError as exc:
+        reason = exc.strerror or type(exc).__name__
+        raise CliFailure(EXIT_USAGE, f"cannot write {flag} {path}: {reason}") from None
+
+
+def _write_text(flag: str, path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    with _writing(flag, path):
         Path(path).write_text(text, encoding="utf-8")
 
 
@@ -111,8 +132,8 @@ def _load_calibration(args) -> Calibration:
         )
     try:
         return Calibration.load(path)
-    except FileNotFoundError:
-        raise CliFailure(EXIT_VALIDATION, f"calibration file not found: {path}") from None
+    except OSError as exc:
+        raise _unreadable("calibration file", path, exc) from None
     except CalibrationValueError as exc:
         raise CliFailure(EXIT_VALIDATION, f"invalid calibration file {path}: {exc}") from exc
     except CalibrationError as exc:
@@ -125,8 +146,8 @@ def _load_config(args) -> GenerationConfig:
         if getattr(args, "blocks", None) is not None:
             config = config.with_overrides(num_blocks=args.blocks)
         return config
-    except FileNotFoundError:
-        raise CliFailure(EXIT_VALIDATION, f"config file not found: {args.config}") from None
+    except OSError as exc:
+        raise _unreadable("config file", args.config, exc) from None
     except ConfigParseError as exc:
         raise CliFailure(EXIT_PARSE, f"bad config: {exc}") from exc
     except ConfigError as exc:
@@ -142,8 +163,8 @@ def cmd_fit(args) -> int:
     seed = _resolve_seed(args)
     try:
         table = load_reference_table(args.table)
-    except FileNotFoundError:
-        raise CliFailure(EXIT_VALIDATION, f"table file not found: {args.table}") from None
+    except OSError as exc:
+        raise _unreadable("table file", args.table, exc) from None
     except CalibrationError as exc:
         raise CliFailure(EXIT_PARSE, f"cannot parse table: {exc}") from exc
 
@@ -154,7 +175,8 @@ def cmd_fit(args) -> int:
     except CalibrationError as exc:
         raise CliFailure(EXIT_CALIBRATION, f"calibration fit failed: {exc}") from exc
 
-    calibration.save(args.out)
+    with _writing("--out", args.out):
+        calibration.save(args.out)
     _info(f"wrote calibration to {args.out}")
     _info("latency fit:")
     for line in latency_report.lines():
@@ -191,6 +213,11 @@ def cmd_simulate(args) -> int:
         )
     except ValueError as exc:
         raise CliFailure(EXIT_USAGE, str(exc)) from exc
+    # A random policy draws from one stream per prompt, the stream the sweep's
+    # random arm gives that prompt, so record i does not depend on --n.
+    random_spec = (
+        random_arm(args.rate, policy.force_reject_block0) if args.policy == "random" else None
+    )
     aggregation = AggregationMode(args.aggregation)
     stack = build_synthetic_stack(calibration, config)
 
@@ -199,6 +226,8 @@ def cmd_simulate(args) -> int:
     accept_sum = time_sum = quality_sum = 0.0
     for i in range(args.n):
         prompt = PromptSpec(prompt_id=f"p{i:05d}", text=f"synthetic prompt {i}")
+        if random_spec is not None:
+            policy = random_spec.build_policy(seed, i)
         summary = run_video(
             config,
             prompt,
@@ -217,9 +246,10 @@ def cmd_simulate(args) -> int:
         accept_sum += summary.accept_rate_excl_block0
         time_sum += summary.total_time_s
         quality_sum += summary.quality_proxy
-    _write_text(args.out, "".join(line + "\n" for line in lines))
+    _write_text("--out", args.out, "".join(line + "\n" for line in lines))
     if args.export_trace:
-        write_trace_file(args.export_trace, trace_records)
+        with _writing("--export-trace", args.export_trace):
+            write_trace_file(args.export_trace, trace_records)
         _info(f"exported {len(trace_records)} trace records to {args.export_trace}")
     _info(
         f"{args.n} runs: mean accept {accept_sum / args.n:.3f}, "
@@ -240,13 +270,13 @@ def cmd_sweep(args) -> int:
 
     _info(f"sweeping {len(taus)} thresholds x {args.n} prompts (seed {seed})")
     rows = run_sweep(spec, calibration, config=config, jobs=args.jobs)
-    _write_text(args.out, rows_to_csv(rows))
+    _write_text("--out", args.out, rows_to_csv(rows))
     report = pareto_check(rows)
     for line in report.lines():
         _info(line)
     if args.out_json:
         doc = rows_to_json_dict(rows, report, meta={"seed": seed, "num_prompts": args.n})
-        _write_text(args.out_json, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write_text("--out-json", args.out_json, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0 if report.ok else EXIT_PARETO
 
 
@@ -257,7 +287,7 @@ def cmd_ablate(args) -> int:
     arms = [target_only_arm()] + ablation_arms() + [draft_only_arm()]
     _info(f"running {len(arms)} ablation arms x {args.n} prompts (seed {seed})")
     rows = run_arms(arms, args.n, seed, calibration, config=config, jobs=args.jobs)
-    _write_text(args.out, rows_to_csv(rows))
+    _write_text("--out", args.out, rows_to_csv(rows))
     return 0
 
 
@@ -267,8 +297,8 @@ def cmd_replay(args) -> int:
         calibration = _load_calibration(args)
     try:
         records = parse_trace_file(args.trace)
-    except FileNotFoundError:
-        raise CliFailure(EXIT_VALIDATION, f"trace file not found: {args.trace}") from None
+    except OSError as exc:
+        raise _unreadable("trace file", args.trace, exc) from None
     except TraceFormatError as exc:
         code = EXIT_PARSE if exc.line_number is not None else EXIT_VALIDATION
         raise CliFailure(code, f"trace parse: {exc}") from exc
@@ -297,7 +327,7 @@ def cmd_replay(args) -> int:
             for r in runs
         ],
     }
-    _write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_text("--out", args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for r in runs:
         s = r.summary
         _info(

@@ -11,12 +11,24 @@ the same noise seed.
 
 One draft serves every arm. run_arms_detailed routes one prompt under
 several arms (policy, aggregation, drafting) in lockstep: each block is
-drafted and committed to the drafter KV cache once, then every arm runs
-its own step on its own target KV cache and decoder state. This is sound
-because GeneratorInterface implementations are deterministic and the
-drafter conditions only on its own cache, never on routing, so each arm
-run alone would draft exactly the same blocks. For a real stack, one
-drafter pass serves every arm.
+drafted and committed to the drafter KV cache once. The arms walk the
+blocks in lanes: a lane is the set of arms whose verdict histories match
+so far, and it holds one target KV cache, one decoder state and one list
+of emitted frames. All arms start in one lane. Per lane and block the
+draft is decoded once, scored once (only if some arm needs scores) and
+aggregated once per aggregation mode; every arm's own policy decides.
+The accepting arms commit the draft; the rejecting arms, target-only arms
+among them, restore the decoder snapshot and have the target regenerate
+and commit once. When both sides are non-empty the rejecting side forks
+into a new lane with a KVCache.fork() and its own restored decoder state.
+
+This is sound because GeneratorInterface, DecoderInterface and
+ScorerInterface implementations are deterministic and the drafter
+conditions only on its own cache, never on routing: arms with equal
+verdict histories hold equal caches, decoder states and frames, so each
+arm run alone would compute exactly what its lane computes. For a real
+stack, one drafter pass serves every arm, and one decode, reward pass and
+regeneration serve every arm in a lane.
 
 Runs are strictly sequential within a video (block b+1 depends on block
 b's decision). Runs over different prompts share no mutable state and may
@@ -78,7 +90,11 @@ class GeneratorInterface(ABC):
 
 
 class DecoderInterface(ABC):
-    """Causal frame decoder with explicit, snapshottable temporal state."""
+    """Causal frame decoder with explicit, snapshottable temporal state.
+
+    decode must be deterministic given (latent, state): lanes of arms
+    share one decode, so equal inputs must give equal frames and states.
+    """
 
     @abstractmethod
     def fresh_state(self) -> RestorableState: ...
@@ -148,9 +164,11 @@ def run_arms_detailed(
     """Run one video under every arm in lockstep; one RunResult per arm, in order.
 
     Each block's draft is generated and committed once, and every result
-    shares the one drafter KVCache (empty when no arm drafts). Each result
-    equals that of the arm run alone. Arms must not share a stateful
-    policy such as a RandomPolicy, whose draws would interleave.
+    shares the one drafter KVCache (empty when no arm drafts). Arms that
+    end in one lane likewise share that lane's target KVCache and
+    emitted-frames tuple. Each result equals that of the arm run alone.
+    Arms must not share a stateful policy such as a RandomPolicy, whose
+    draws would interleave.
     """
     if latency is None:
         raise ValueError("run_video requires latency params to attribute block timings")
@@ -161,8 +179,9 @@ def run_arms_detailed(
         raise ValueError("draft_enabled runs need a scorer")
 
     drafter_kv = KVCache(CacheOwner.DRAFTER)
-    # Per arm: (arm, target KV cache, decoder state, traces, emitted frames).
-    lanes = [(arm, KVCache(CacheOwner.TARGET), decoder.fresh_state(), [], []) for arm in arms]
+    traces: list[list[BlockTrace]] = [[] for _ in arms]
+    lanes = [_Lane(list(range(len(arms))), KVCache(CacheOwner.TARGET), decoder.fresh_state(), [])]
+    draft = None
     for b in range(config.num_blocks):
         nseed = noise_seed_for_block(config.seed, prompt.prompt_id, b)
         if drafting:
@@ -170,34 +189,29 @@ def run_arms_detailed(
             # Unconditional: the drafter conditions on its own outputs, never on routing.
             drafter_kv.commit(draft)
         expected = pixel_frame_count(config, b)
-        for arm, target_kv, state, traces, emitted in lanes:
-            if arm.draft_enabled:
-                trace, frames = _run_block_drafted(
-                    config, prompt, target, decoder, scorer, arm, latency, b, nseed,
-                    draft, target_kv, state,
-                )
-            else:
-                trace, frames = _run_block_target_only(
-                    prompt, target, decoder, arm.policy, latency, b, nseed, target_kv, state,
-                )
-            if len(frames.frames) != expected:
-                error = ValueError(f"expected {expected} frames, got {len(frames.frames)}")
-                raise BlockExecutionError(b, "decode", error)
-            traces.append(trace)
-            emitted.append(frames)
+        for lane in list(lanes):
+            forked = _run_lane_block(
+                config, prompt, target, decoder, scorer, arms, latency, traces,
+                lane, b, nseed, draft, expected,
+            )
+            if forked is not None:
+                lanes.append(forked)
 
-    results = []
-    for _, target_kv, _, traces, emitted in lanes:
-        accepted = sum(1 for t in traces[1:] if t.decision.accepted)
-        rate = accepted / (config.num_blocks - 1) if config.num_blocks > 1 else 0.0
-        summary = RunSummary(
-            prompt_id=prompt.prompt_id,
-            accept_rate_excl_block0=rate,
-            total_time_s=simulate_time(traces, latency),
-            quality_proxy=quality_fn(traces) if quality_fn is not None else float("nan"),
-            block_traces=tuple(traces),
-        )
-        results.append(RunResult(summary, tuple(emitted), drafter_kv, target_kv))
+    results: list = [None] * len(arms)
+    for lane in lanes:
+        emitted = tuple(lane.emitted)
+        for k in lane.arms:
+            arm_traces = traces[k]
+            accepted = sum(1 for t in arm_traces[1:] if t.decision.accepted)
+            rate = accepted / (config.num_blocks - 1) if config.num_blocks > 1 else 0.0
+            summary = RunSummary(
+                prompt_id=prompt.prompt_id,
+                accept_rate_excl_block0=rate,
+                total_time_s=simulate_time(arm_traces, latency),
+                quality_proxy=quality_fn(arm_traces) if quality_fn is not None else float("nan"),
+                block_traces=tuple(arm_traces),
+            )
+            results[k] = RunResult(summary, emitted, drafter_kv, lane.target_kv)
     return results
 
 
@@ -222,61 +236,87 @@ def run_video_detailed(
     return result
 
 
-def _run_block_drafted(
-    config, prompt, target, decoder, scorer, arm, latency, b, nseed, draft, target_kv, state,
-) -> tuple[BlockTrace, DecodedFrames]:
-    policy = arm.policy
-    snapshot = decode_snapshot(state, b)
-    draft_frames = _guard(b, "decode", decoder.decode, draft, state)
+@dataclass(slots=True)
+class _Lane:
+    """Arms (by index) whose verdict histories match so far, and the state they share."""
 
-    forced = policy.forces_rejection(b)
+    arms: list[int]
+    target_kv: KVCache
+    state: RestorableState
+    emitted: list[DecodedFrames]
+
+
+def _run_lane_block(
+    config, prompt, target, decoder, scorer, arms, latency, traces,
+    lane, b, nseed, draft, expected,
+) -> _Lane | None:
+    """Route block b for one lane; returns the lane its rejecting arms fork into, if any."""
+    snapshot = None
+    if any(arms[k].draft_enabled for k in lane.arms):
+        snapshot = decode_snapshot(lane.state, b)
+        draft_frames = _guard(b, "decode", decoder.decode, draft, lane.state)
     scores: FrameScoreVector | None = None
-    q: float | None = None
-    score_time = 0.0
-    if not forced or config.score_forced_rejections:
-        raw = [
-            _guard(b, "scorer", scorer.score, frame, prompt)
-            for frame in draft_frames.frames
-        ]
-        scores = FrameScoreVector(b, tuple(raw))
-        q = aggregate(scores, arm.aggregation)
-        score_time = latency.c_score
+    q_by_mode: dict[AggregationMode, float] = {}
+    accepting, rejecting = [], []
+    for k in lane.arms:
+        arm = arms[k]
+        policy = arm.policy
+        if not arm.draft_enabled:
+            decision = policy.decide(b, None)
+            if decision.verdict is not Verdict.REJECT:
+                raise ValueError("draft_enabled=False requires a policy that rejects every block")
+            trace = BlockTrace(block_index=b, decision=decision, target_time_s=latency.c_target)
+        else:
+            q: float | None = None
+            score_time = 0.0
+            scored = config.score_forced_rejections or not policy.forces_rejection(b)
+            if scored:
+                if scores is None:
+                    raw = [
+                        _guard(b, "scorer", scorer.score, frame, prompt)
+                        for frame in draft_frames.frames
+                    ]
+                    scores = FrameScoreVector(b, tuple(raw))
+                q = q_by_mode.get(arm.aggregation)
+                if q is None:
+                    q = q_by_mode[arm.aggregation] = aggregate(scores, arm.aggregation)
+                score_time = latency.c_score
+            decision = policy.decide(b, q)
+            trace = BlockTrace(
+                block_index=b,
+                decision=decision,
+                aggregate_score=q,
+                frame_scores=scores if scored else None,
+                draft_time_s=latency.c_draft,
+                score_time_s=score_time,
+                target_time_s=0.0 if decision.verdict is Verdict.ACCEPT else latency.c_target,
+                decode_time_s=latency.c_decode,
+            )
+        traces[k].append(trace)
+        (accepting if decision.verdict is Verdict.ACCEPT else rejecting).append(k)
 
-    decision = policy.decide(b, q)
-    if decision.verdict is Verdict.ACCEPT:
-        target_kv.commit(draft)
-        emitted = draft_frames
-        target_time = 0.0
-    else:
-        decode_restore(state, snapshot)
-        regen = _guard(b, "target", target.generate, nseed, target_kv, b, prompt)
-        target_kv.commit(regen)
-        emitted = _guard(b, "decode", decoder.decode, regen, state)
-        target_time = latency.c_target
-
-    trace = BlockTrace(
-        block_index=b,
-        decision=decision,
-        aggregate_score=q,
-        frame_scores=scores,
-        draft_time_s=latency.c_draft,
-        score_time_s=score_time,
-        target_time_s=target_time,
-        decode_time_s=latency.c_decode,
-    )
-    return trace, emitted
+    rejected = lane
+    if accepting and rejecting:
+        # The rejecting arms fork before the draft is committed, so they keep the shared prefix.
+        rejected = _Lane(rejecting, lane.target_kv.fork(), lane.state.clone(), list(lane.emitted))
+        lane.arms = accepting
+    if accepting:
+        lane.target_kv.commit(draft)
+        _emit(lane, draft_frames, b, expected)
+    if rejecting:
+        if snapshot is not None:
+            decode_restore(rejected.state, snapshot)
+        regen = _guard(b, "target", target.generate, nseed, rejected.target_kv, b, prompt)
+        rejected.target_kv.commit(regen)
+        _emit(rejected, _guard(b, "decode", decoder.decode, regen, rejected.state), b, expected)
+    return rejected if rejected is not lane else None
 
 
-def _run_block_target_only(
-    prompt, target, decoder, policy, latency, b, nseed, target_kv, state,
-) -> tuple[BlockTrace, DecodedFrames]:
-    decision = policy.decide(b, None)
-    if decision.verdict is not Verdict.REJECT:
-        raise ValueError("draft_enabled=False requires a policy that rejects every block")
-    block = _guard(b, "target", target.generate, nseed, target_kv, b, prompt)
-    target_kv.commit(block)
-    frames = _guard(b, "decode", decoder.decode, block, state)
-    return BlockTrace(block_index=b, decision=decision, target_time_s=latency.c_target), frames
+def _emit(lane: _Lane, frames: DecodedFrames, b: int, expected: int) -> None:
+    if len(frames.frames) != expected:
+        error = ValueError(f"expected {expected} frames, got {len(frames.frames)}")
+        raise BlockExecutionError(b, "decode", error)
+    lane.emitted.append(frames)
 
 
 def run_video(

@@ -69,6 +69,31 @@ class TestKVCache:
         with pytest.raises(IntegrityError):
             cache.commit(make_block(1))
 
+    def test_fork_is_equal_and_independent(self):
+        cache = KVCache(CacheOwner.TARGET)
+        for i in range(3):
+            cache.commit(make_block(i, fill=float(i)))
+        fork = cache.fork()
+        assert fork == cache and fork is not cache
+        assert fork.producers() == cache.producers()
+        cache.commit(make_block(3, Producer.DRAFT, fill=1.0))
+        fork.commit(make_block(3, Producer.TARGET, fill=2.0))
+        assert len(cache) == len(fork) == 4
+        assert cache.digests()[:3] == fork.digests()[:3]
+        assert cache.digests()[3] != fork.digests()[3]
+        assert cache.producers()[3] is Producer.DRAFT
+        assert fork.producers()[3] is Producer.TARGET
+
+    def test_fork_verifies_inherited_entries_on_commit(self):
+        cache = KVCache(CacheOwner.TARGET)
+        cache.commit(make_block(0))
+        fork = cache.fork()
+        data = fork.entries[0].block.data
+        data.setflags(write=True)
+        data[0, 0, 0, 0] = 99.0
+        with pytest.raises(IntegrityError):
+            fork.commit(make_block(1))
+
     def test_tip_digest_tracks_last_entry(self):
         cache = KVCache(CacheOwner.DRAFTER)
         assert cache.tip_digest() == "empty"

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 
 import pytest
 
 from specroute.cli import main
-from specroute.core import default_config
+from specroute.core import PromptSpec, default_config, summary_to_dict
+from specroute.engine import run_video
+from specroute.sweep import random_arm, run_arms, target_only_arm
 from specroute.synthmodels import (
     Calibration,
+    build_synthetic_stack,
     fit_calibration,
     load_reference_table,
     synthetic_table,
@@ -150,6 +154,39 @@ class TestSimulate:
                 "--out", str(tmp_path / "o")]
         assert main(args) == 3
 
+    @pytest.mark.parametrize("force", [False, True])
+    def test_random_policy_matches_the_sweeps_random_arm(self, cal_path, tmp_path, force):
+        out = tmp_path / "runs.jsonl"
+        flags = ["--force-reject-first"] if force else []
+        assert main(["simulate", "--calibration", str(cal_path), "--policy", "random",
+                     "--rate", "0.6", "--n", "4", "--seed", "11", "--out", str(out)] + flags) == 0
+        docs = [json.loads(line) for line in out.read_text().splitlines()]
+        rows = run_arms([target_only_arm(), random_arm(0.6, force)], 4, 11,
+                        Calibration.load(cal_path))
+        keys = ("quality_proxy", "total_time_s", "accept_rate_excl_block0")
+        means = [math.fsum(d[key] for d in docs) / 4 for key in keys]
+        assert means == [rows[1].quality, rows[1].time_s, rows[1].accept_rate]
+
+    def test_random_policy_record_is_its_prompts_own_run(self, cal_path, tmp_path):
+        outs = []
+        for n in ("2", "5"):
+            out = tmp_path / f"runs{n}.jsonl"
+            assert main(["simulate", "--calibration", str(cal_path), "--policy", "random",
+                         "--n", n, "--out", str(out)]) == 0
+            outs.append([json.loads(line) for line in out.read_text().splitlines()])
+        assert outs[0] == outs[1][:2]
+        cal = Calibration.load(cal_path).with_seed(42)
+        config = default_config().with_overrides(seed=42)
+        stack = build_synthetic_stack(cal, config)
+        arm = random_arm(0.5, False)
+        for i, doc in enumerate(outs[1]):
+            summary = run_video(
+                config, PromptSpec(f"p{i:05d}"), stack.drafter, stack.target, stack.decoder,
+                stack.scorer, arm.build_policy(42, i), latency=cal.latency,
+                quality_fn=cal.proxy.run_quality,
+            )
+            assert doc == summary_to_dict(summary)
+
     def test_blocks_override_is_applied(self, cal_path, tmp_path):
         out = tmp_path / "runs.jsonl"
         args = ["simulate", "--calibration", str(cal_path), "--blocks", "3", "--out", str(out)]
@@ -162,6 +199,49 @@ class TestSimulate:
                 "--out", str(tmp_path / "r.jsonl")]
         assert main(args) == 2
         assert main(args + ["--seed", "7"]) == 0
+
+
+class TestUnusablePaths:
+    """Directories and missing parents: inputs exit 4, outputs exit 2 naming the flag."""
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("simulate", "--calibration"), ("simulate", "--config"), ("fit", "--table"),
+         ("replay", "--trace")],
+    )
+    def test_input_path_that_is_a_directory(self, cal_path, tmp_path, capsys, command, flag):
+        args = {
+            "simulate": ["simulate", "--calibration", str(cal_path)],
+            "fit": ["fit"],
+            "replay": ["replay", "--tau", "-0.7"],
+        }[command]
+        out = tmp_path / "o"
+        assert main(args + [flag, str(tmp_path), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "cannot read" in err and str(tmp_path) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,flag,target",
+        [("simulate", "--out", "dir"), ("simulate", "--out", "missing"),
+         ("simulate", "--export-trace", "dir"), ("sweep", "--out-json", "dir"),
+         ("fit", "--out", "dir")],
+        ids=["simulate-out-dir", "simulate-out-missing-parent", "export-trace-dir",
+             "sweep-out-json-dir", "fit-out-dir"],
+    )
+    def test_output_path_that_cannot_be_written(
+        self, cal_path, tmp_path, capsys, command, flag, target
+    ):
+        path = tmp_path if target == "dir" else tmp_path / "missing_dir" / "x.jsonl"
+        args = [command] if command == "fit" else [command, "--calibration", str(cal_path)]
+        if command == "sweep":
+            args += ["--n", "1", "--out", str(tmp_path / "s.csv")]
+        elif flag != "--out":
+            args += ["--out", str(tmp_path / "runs.jsonl")]
+        assert main(args + [flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {flag} {path}" in err
 
 
 class TestSweep:

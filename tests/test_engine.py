@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specroute.caches import KVCache
 from specroute.core import (
     GenerationConfig,
     Producer,
@@ -375,6 +377,68 @@ class TestLockstepArms:
         )
         assert [len(lane.drafter_kv) for lane in lanes] == [0, 0]
         assert lanes[0].summary == lanes[1].summary
+
+
+    def counted_run(self, stack, calibration, config, arms, monkeypatch):
+        """Run arms over counting models; counts decode, score, target and commit calls."""
+        counts = Counter()
+
+        class Decoder(type(stack.decoder)):
+            def decode(self, latent, state):
+                counts["decode"] += 1
+                return super().decode(latent, state)
+
+        class Scorer(type(stack.scorer)):
+            def score(self, frame, prompt):
+                counts["score"] += 1
+                return super().score(frame, prompt)
+
+        class Target(type(stack.target)):
+            def generate(self, noise_seed, kv, block_index, prompt):
+                counts["target.generate"] += 1
+                return super().generate(noise_seed, kv, block_index, prompt)
+
+        commit = KVCache.commit
+
+        def counting_commit(cache, block):
+            counts[f"commit.{cache.owner.value}"] += 1
+            return commit(cache, block)
+
+        monkeypatch.setattr(KVCache, "commit", counting_commit)
+        try:
+            lanes = run_arms_detailed(
+                config, PromptSpec("share"), stack.drafter, Target(config), Decoder(config),
+                Scorer(), arms, calibration.latency,
+            )
+        finally:
+            monkeypatch.undo()
+        return counts, lanes
+
+    def test_identical_arms_cost_one_solo_run(self, stack, calibration, config, monkeypatch):
+        solo, _ = self.counted_run(
+            stack, calibration, config, [Arm(ThresholdPolicy(tau=-1.0))], monkeypatch
+        )
+        shared, lanes = self.counted_run(
+            stack, calibration, config, [Arm(ThresholdPolicy(tau=-1.0)) for _ in range(4)],
+            monkeypatch,
+        )
+        assert solo["target.generate"] > 0 and solo["score"] > 0
+        for key in ("decode", "score", "target.generate", "commit.target"):
+            assert shared[key] == solo[key], key
+        assert all(lane.target_kv is lanes[0].target_kv for lane in lanes)
+        assert all(lane.emitted_frames is lanes[0].emitted_frames for lane in lanes)
+
+    def test_diverged_arms_end_with_distinct_target_caches(self, stack, calibration, config):
+        arms = [Arm(ThresholdPolicy(tau=-1.0)), Arm(AlwaysAcceptPolicy()),
+                Arm(AlwaysRejectPolicy(), draft_enabled=False), Arm(ThresholdPolicy(tau=-1.0))]
+        lanes = run_arms_detailed(
+            config, PromptSpec("fork"), stack.drafter, stack.target, stack.decoder, stack.scorer,
+            arms, calibration.latency,
+        )
+        caches = [lane.target_kv for lane in lanes]
+        assert len({id(cache) for cache in caches[:3]}) == 3
+        assert len({cache.digests() for cache in caches[:3]}) == 3
+        assert caches[3] is caches[0]
 
 
 def test_append_run_record(tmp_path, stack, calibration, config):
