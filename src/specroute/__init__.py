@@ -58,7 +58,6 @@ from .router import (
     RandomPolicy,
     ThresholdPolicy,
     aggregate,
-    matched_random_policy,
 )
 from .sweep import (
     ParetoReport,

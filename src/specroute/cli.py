@@ -18,6 +18,7 @@ makes --seed mandatory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -28,18 +29,19 @@ from .core import (
     ConfigError,
     ConfigParseError,
     GenerationConfig,
-    PromptSpec,
     default_config,
     summary_to_dict,
 )
 from .costmodel import LatencyFitError
 from .engine import run_video
-from .router import AggregationMode, policy_from_flags
+from .router import AggregationMode
 from .sweep import (
+    ArmSpec,
     SweepSpec,
     ablation_arms,
     draft_only_arm,
     pareto_check,
+    prompt_spec,
     random_arm,
     rows_to_csv,
     rows_to_json_dict,
@@ -203,31 +205,18 @@ def cmd_simulate(args) -> int:
         # Exported records need per-frame scores on every block, including
         # force-rejected ones.
         config = config.with_overrides(score_forced_rejections=True)
-    try:
-        policy = policy_from_flags(
-            args.policy,
-            tau=args.tau,
-            rate=args.rate,
-            seed=seed,
-            force_reject_first=args.force_reject_first,
-        )
-    except ValueError as exc:
-        raise CliFailure(EXIT_USAGE, str(exc)) from exc
-    # A random policy draws from one stream per prompt, the stream the sweep's
-    # random arm gives that prompt, so record i does not depend on --n.
-    random_spec = (
-        random_arm(args.rate, policy.force_reject_block0) if args.policy == "random" else None
-    )
-    aggregation = AggregationMode(args.aggregation)
+    arm = _simulate_arm(args)
     stack = build_synthetic_stack(calibration, config)
 
     lines = []
     trace_records = []
     accept_sum = time_sum = quality_sum = 0.0
     for i in range(args.n):
-        prompt = PromptSpec(prompt_id=f"p{i:05d}", text=f"synthetic prompt {i}")
-        if random_spec is not None:
-            policy = random_spec.build_policy(seed, i)
+        prompt = prompt_spec(i)
+        try:
+            policy = arm.build_policy(seed, i)
+        except ValueError as exc:
+            raise CliFailure(EXIT_USAGE, str(exc)) from exc
         summary = run_video(
             config,
             prompt,
@@ -236,7 +225,7 @@ def cmd_simulate(args) -> int:
             stack.decoder,
             stack.scorer,
             policy,
-            aggregation=aggregation,
+            aggregation=arm.aggregation,
             latency=calibration.latency,
             quality_fn=calibration.proxy.run_quality,
         )
@@ -258,6 +247,24 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _simulate_arm(args) -> ArmSpec:
+    """simulate's policy flags as one ArmSpec.
+
+    Block 0 is force-rejected by default under threshold only. A random
+    policy is the sweep's random arm, so prompt i draws from the stream the
+    sweep gives it and its record does not depend on --n.
+    """
+    aggregation = AggregationMode(args.aggregation)
+    force = args.force_reject_first
+    if force is None:
+        force = args.policy == "threshold"
+    if args.policy == "random":
+        return dataclasses.replace(random_arm(args.rate, force), aggregation=aggregation)
+    kind = args.policy.replace("-", "_")
+    return ArmSpec(label=kind, policy_kind=kind, tau=args.tau, force_reject_block0=force,
+                   aggregation=aggregation)
+
+
 def cmd_sweep(args) -> int:
     seed = _resolve_seed(args)
     calibration = _load_calibration(args)
@@ -269,7 +276,11 @@ def cmd_sweep(args) -> int:
         raise CliFailure(EXIT_USAGE, str(exc)) from exc
 
     _info(f"sweeping {len(taus)} thresholds x {args.n} prompts (seed {seed})")
-    rows = run_sweep(spec, calibration, config=config, jobs=args.jobs)
+    try:
+        rows = run_sweep(spec, calibration, config=config, jobs=args.jobs)
+    except ValueError as exc:
+        # Such as a calibration whose latencies give an arm zero simulated time.
+        raise CliFailure(EXIT_VALIDATION, str(exc)) from exc
     _write_text("--out", args.out, rows_to_csv(rows))
     report = pareto_check(rows)
     for line in report.lines():
@@ -286,7 +297,11 @@ def cmd_ablate(args) -> int:
     config = _load_config(args)
     arms = [target_only_arm()] + ablation_arms() + [draft_only_arm()]
     _info(f"running {len(arms)} ablation arms x {args.n} prompts (seed {seed})")
-    rows = run_arms(arms, args.n, seed, calibration, config=config, jobs=args.jobs)
+    try:
+        rows = run_arms(arms, args.n, seed, calibration, config=config, jobs=args.jobs)
+    except ValueError as exc:
+        # Such as a calibration whose latencies give an arm zero simulated time.
+        raise CliFailure(EXIT_VALIDATION, str(exc)) from exc
     _write_text("--out", args.out, rows_to_csv(rows))
     return 0
 

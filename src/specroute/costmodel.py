@@ -179,14 +179,20 @@ def fit_latencies(
     return params, report
 
 
-def simulate_time(trace: Sequence[BlockTrace], params: LatencyParams) -> float:
-    """Total simulated seconds for a complete per-block trace."""
+def simulate_time(trace: Sequence[BlockTrace], params: LatencyParams | None) -> float:
+    """Total simulated seconds for a complete per-block trace.
+
+    Each block costs its draft, decode and target times plus its score
+    time scaled by params.overlap_factor. params=None means scoring is
+    overlapped (factor 0, the OverlapMode default), as when a trace is
+    replayed without calibration.
+    """
     if not trace:
         raise ValueError("empty trace")
     indices = [t.block_index for t in trace]
     if indices != list(range(len(trace))):
         raise ValueError(f"incomplete trace: block indices {indices}")
-    factor = params.overlap_factor
+    factor = params.overlap_factor if params is not None else 0.0
     total = 0.0
     for t in trace:
         total += t.draft_time_s + t.decode_time_s + t.score_time_s * factor + t.target_time_s

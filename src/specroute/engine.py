@@ -37,10 +37,8 @@ execute in parallel.
 
 from __future__ import annotations
 
-import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .caches import CacheOwner, KVCache, RestorableState, decode_restore, decode_snapshot
@@ -55,7 +53,6 @@ from .core import (
     Verdict,
     noise_seed_for_block,
     pixel_frame_count,
-    summary_to_dict,
 )
 from .costmodel import LatencyParams, simulate_time
 from .router import AggregationMode, Policy, aggregate
@@ -70,7 +67,7 @@ __all__ = [
     "run_arms_detailed",
     "run_video",
     "run_video_detailed",
-    "append_run_record",
+    "summarize_run",
 ]
 
 QualityFn = Callable[[Sequence[BlockTrace]], float]
@@ -201,18 +198,33 @@ def run_arms_detailed(
     for lane in lanes:
         emitted = tuple(lane.emitted)
         for k in lane.arms:
-            arm_traces = traces[k]
-            accepted = sum(1 for t in arm_traces[1:] if t.decision.accepted)
-            rate = accepted / (config.num_blocks - 1) if config.num_blocks > 1 else 0.0
-            summary = RunSummary(
-                prompt_id=prompt.prompt_id,
-                accept_rate_excl_block0=rate,
-                total_time_s=simulate_time(arm_traces, latency),
-                quality_proxy=quality_fn(arm_traces) if quality_fn is not None else float("nan"),
-                block_traces=tuple(arm_traces),
-            )
+            summary = summarize_run(prompt.prompt_id, traces[k], latency, quality_fn)
             results[k] = RunResult(summary, emitted, drafter_kv, lane.target_kv)
     return results
+
+
+def summarize_run(
+    prompt_id: str,
+    traces: Sequence[BlockTrace],
+    latency: LatencyParams | None,
+    quality_fn: QualityFn | None,
+) -> RunSummary:
+    """Account one run from its complete block trace; engine runs and replay both use it.
+
+    The accept rate counts accepted blocks among 1..B-1 over B-1 (0.0 when
+    B == 1), total time is simulate_time(traces, latency), and quality is
+    quality_fn(traces), or NaN without one.
+    """
+    traces = tuple(traces)
+    num_blocks = len(traces)
+    accepted = sum(1 for t in traces[1:] if t.decision.accepted)
+    return RunSummary(
+        prompt_id=prompt_id,
+        accept_rate_excl_block0=accepted / (num_blocks - 1) if num_blocks > 1 else 0.0,
+        total_time_s=simulate_time(traces, latency),
+        quality_proxy=quality_fn(traces) if quality_fn is not None else float("nan"),
+        block_traces=traces,
+    )
 
 
 def run_video_detailed(
@@ -336,10 +348,3 @@ def run_video(
         config, prompt, drafter, target, decoder, scorer, policy,
         aggregation, latency, quality_fn, draft_enabled,
     ).summary
-
-
-def append_run_record(path: str | Path, summary: RunSummary) -> None:
-    """Append one run's JSON record to a JSONL results file."""
-    line = json.dumps(summary_to_dict(summary), sort_keys=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(line + "\n")

@@ -32,8 +32,6 @@ __all__ = [
     "RandomPolicy",
     "AlwaysAcceptPolicy",
     "AlwaysRejectPolicy",
-    "matched_random_policy",
-    "policy_from_flags",
 ]
 
 
@@ -141,45 +139,3 @@ class AlwaysRejectPolicy(Policy):
     def _decide_unforced(self, block_index: int, q: float | None) -> RoutingDecision:
         return _ALWAYS_REJECT
 
-
-def matched_random_policy(
-    reference_accept_rate: float,
-    seed: int,
-    force_reject_block0: bool = False,
-) -> RandomPolicy:
-    """Random routing whose per-block accept probability matches a reference rate."""
-    if not 0.0 <= reference_accept_rate <= 1.0:
-        raise ValueError(
-            f"reference_accept_rate must be in [0, 1], got {reference_accept_rate}"
-        )
-    return RandomPolicy(
-        accept_prob=reference_accept_rate,
-        force_reject_block0=force_reject_block0,
-        rng_seed=seed,
-    )
-
-
-def policy_from_flags(
-    kind: str,
-    tau: float = -0.7,
-    rate: float = 0.5,
-    seed: int = 0,
-    force_reject_first: bool | None = None,
-) -> Policy:
-    """Build a policy from CLI-style flags.
-
-    force_reject_first defaults to True for threshold (the production
-    policy) and False for every other kind.
-    """
-    kind = kind.replace("_", "-")
-    if kind == "threshold":
-        force = True if force_reject_first is None else force_reject_first
-        return ThresholdPolicy(tau=tau, force_reject_block0=force)
-    force = False if force_reject_first is None else force_reject_first
-    if kind == "random":
-        return RandomPolicy(accept_prob=rate, force_reject_block0=force, rng_seed=seed)
-    if kind == "always-accept":
-        return AlwaysAcceptPolicy(force_reject_block0=force)
-    if kind == "always-reject":
-        return AlwaysRejectPolicy(force_reject_block0=force)
-    raise ValueError(f"unknown policy kind: {kind!r}")

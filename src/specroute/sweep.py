@@ -15,10 +15,10 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from .core import GenerationConfig, PromptSpec, default_config, stable_key
+from .costmodel import speedup
 from .engine import Arm, run_arms_detailed
 from .router import (
     AggregationMode,
@@ -37,6 +37,7 @@ __all__ = [
     "random_arm",
     "target_only_arm",
     "draft_only_arm",
+    "prompt_spec",
     "SweepSpec",
     "SweepRow",
     "run_arms",
@@ -45,7 +46,6 @@ __all__ = [
     "ParetoReport",
     "pareto_check",
     "rows_to_csv",
-    "write_rows_csv",
     "rows_to_json_dict",
 ]
 
@@ -156,7 +156,8 @@ class SweepRow:
     accept_rate: float
 
 
-def _prompt_spec(index: int) -> PromptSpec:
+def prompt_spec(index: int) -> PromptSpec:
+    """The synthetic prompt that simulate and the sweep run as prompt `index`."""
     return PromptSpec(prompt_id=f"p{index:05d}", text=f"synthetic prompt {index}")
 
 
@@ -169,7 +170,7 @@ def _simulate_chunk(
     out = []
     for i in indices:
         results = run_arms_detailed(
-            config, _prompt_spec(i), stack.drafter, stack.target, stack.decoder, stack.scorer,
+            config, prompt_spec(i), stack.drafter, stack.target, stack.decoder, stack.scorer,
             [Arm(arm.build_policy(seed, i), arm.aggregation, arm.draft_enabled) for arm in arms],
             calibration.latency, calibration.proxy.run_quality,
         )
@@ -219,10 +220,13 @@ def run_arms(
         [math.fsum(p[k][j] for p in per_prompt) / num_prompts for j in range(3)]
         for k in range(len(arms))
     ]
+    for arm, (_, time_s, _) in zip(arms, stats):
+        if not time_s > 0:
+            raise ValueError(f"arm {arm.label} has zero simulated time, so speedups are undefined")
     target_time = stats[labels.index("target_only")][1]
     return [
         SweepRow(label=arm.label, tau=arm.tau, quality=quality, time_s=time_s,
-                 speedup=target_time / time_s, accept_rate=accept)
+                 speedup=speedup(time_s, target_time), accept_rate=accept)
         for arm, (quality, time_s, accept) in zip(arms, stats)
     ]
 
@@ -301,10 +305,6 @@ def rows_to_csv(rows: Sequence[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_rows_csv(path: str | Path, rows: Sequence[SweepRow]) -> None:
-    Path(path).write_text(rows_to_csv(rows), encoding="utf-8")
-
-
 def rows_to_json_dict(
     rows: Sequence[SweepRow],
     pareto: ParetoReport | None = None,
@@ -335,21 +335,17 @@ def rows_to_json_dict(
     return doc
 
 
-def ablation_arms(table_accept_rates: dict[str, float] | None = None) -> list[ArmSpec]:
+def ablation_arms() -> list[ArmSpec]:
     """The ablation arm set: min-frame default, mean-frame sweep, random arms.
 
-    Matched random rates default to the reference measurements (70.3%
-    force-reject arm, 70.0% plain arm) and may be overridden via
-    table_accept_rates with keys 'force_reject_random' / 'random'.
+    The random arms' accept rates match the reference measurements: 70.3%
+    with forced block-0 rejection, 70.0% without.
     """
-    rates = {"force_reject_random": 0.703, "random": 0.700}
-    if table_accept_rates:
-        rates.update(table_accept_rates)
     return [
         threshold_arm(-0.7),
         mean_frame_arm(-0.2),
         mean_frame_arm(-0.5),
         mean_frame_arm(-0.7),
-        random_arm(rates["force_reject_random"], force_reject_block0=True),
-        random_arm(rates["random"], force_reject_block0=False),
+        random_arm(0.703, force_reject_block0=True),
+        random_arm(0.700, force_reject_block0=False),
     ]

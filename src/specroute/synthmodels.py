@@ -25,6 +25,7 @@ simulations.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -53,6 +54,7 @@ from .costmodel import (
     TARGET_ONLY,
     LatencyFitReport,
     LatencyParams,
+    expected_rejected_blocks,
     fit_latencies,
 )
 from .engine import DecoderInterface, GeneratorInterface, ScorerInterface
@@ -500,10 +502,9 @@ def _single_row(rows: Sequence[TableRow], method: str) -> TableRow:
 
 
 def _parse_row(raw: dict) -> TableRow:
-    try:
-        method = raw["method"]
-    except KeyError as exc:
-        raise CalibrationError(f"table row missing 'method': {raw!r}") from exc
+    method = raw.get("method")
+    if not isinstance(method, str):
+        raise CalibrationError("table row needs a string 'method'")
 
     def opt(key: str) -> float | None:
         return float(raw[key]) if raw.get(key) is not None else None
@@ -519,21 +520,38 @@ def _parse_row(raw: dict) -> TableRow:
 
 
 def load_reference_table(path: str | Path | None = None) -> ReferenceTable:
-    """Load the bundled (or an external) reference measurement table."""
+    """Load the bundled (or an external) reference measurement table.
+
+    Rows are objects in the arrays "main" and (optionally) "ablation";
+    each has a string "method" and JSON numbers or nulls for the rest.
+    Invalid UTF-8 or JSON, a wrong shape or a row value that is not a
+    number raises CalibrationError.
+    """
     if path is None:
-        text = resources.files("specroute.data").joinpath("reference_table.json").read_text()
+        source = resources.files("specroute.data").joinpath("reference_table.json")
     else:
-        text = Path(path).read_text()
+        source = Path(path)
     try:
-        doc = json.loads(text)
+        doc = json.loads(source.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict) or "main" not in doc:
+            raise CalibrationError("reference table missing 'main' section")
+        sections = {"main": doc["main"], "ablation": doc.get("ablation", [])}
+        for where, value in _non_numbers(sections, "table"):
+            if value is not None and not where.endswith(".method"):
+                raise CalibrationError(f"{where} is not a number: {reprlib.repr(value)}")
+    except UnicodeDecodeError as exc:
+        raise CalibrationError(f"reference table is not valid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CalibrationError(f"reference table is not valid JSON: {exc}") from exc
-    if "main" not in doc:
-        raise CalibrationError("reference table missing 'main' section")
-    return ReferenceTable(
-        main=tuple(_parse_row(r) for r in doc["main"]),
-        ablation=tuple(_parse_row(r) for r in doc.get("ablation", ())),
-    )
+    except RecursionError:
+        raise CalibrationError("reference table is nested too deeply") from None
+    try:
+        return ReferenceTable(
+            main=tuple(_parse_row(r) for r in sections["main"]),
+            ablation=tuple(_parse_row(r) for r in sections["ablation"]),
+        )
+    except (AttributeError, TypeError) as exc:
+        raise CalibrationError(f"reference table has the wrong shape: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +649,7 @@ def synthetic_table(calibration: Calibration, num_blocks: int = 9) -> ReferenceT
     draft_path = b * latency.draft_path_cost
 
     def run_time(rate: float) -> float:
-        rejected = 1.0 + (b - 1) * (1.0 - rate)
-        return draft_path + rejected * latency.c_target
+        return draft_path + expected_rejected_blocks(rate, b) * latency.c_target
 
     main = [
         TableRow(method=TARGET_ONLY, vr=proxy.base_quality, time_s=t_target, speedup=1.0)

@@ -44,7 +44,8 @@ from .core import (
     Verdict,
 )
 from .costmodel import LatencyParams
-from .router import AggregationMode, Policy, ThresholdPolicy, aggregate
+from .engine import summarize_run
+from .router import AggregationMode, ThresholdPolicy, aggregate
 
 __all__ = [
     "TraceFormatError",
@@ -359,7 +360,6 @@ def replay(
     tau: float,
     aggregation: AggregationMode = AggregationMode.MIN_FRAME,
     force_reject_block0: bool = True,
-    policy: Policy | None = None,
     latency: LatencyParams | None = None,
     quality_fn: Callable[[Sequence[BlockTrace]], float] | None = None,
 ) -> list[ReplayedRun]:
@@ -367,26 +367,19 @@ def replay(
 
     Decisions come from the recorded frame scores; timings come from the
     recorded values where present and from `latency` otherwise (an error
-    if a needed timing is missing and no params were given). Passing
-    `policy` overrides the default threshold policy built from `tau`.
-    Total time and accept rate follow the engine's accounting
-    (`costmodel.simulate_time` and `run_video_detailed`).
+    if a needed timing is missing and no params were given). Accept rate,
+    total time and quality come from `engine.summarize_run`, as for engine
+    runs; without `latency`, scoring counts as overlapped.
 
     Pure over its inputs: two replays of the same records agree exactly.
     """
-    if policy is None:
-        policy = ThresholdPolicy(tau=tau, force_reject_block0=force_reject_block0)
-    # Scoring is assumed overlapped (factor 0) when no params are given,
-    # matching the engine's default accounting.
-    factor = latency.overlap_factor if latency is not None else 0.0
+    policy = ThresholdPolicy(tau=tau, force_reject_block0=force_reject_block0)
     runs = []
     for prompt_id, group in _group_by_prompt(records).items():
         _check_contiguous(prompt_id, group)
         group.sort(key=_block_index)
         traces: list[BlockTrace] = []
         provenance: list[str] = []
-        total = 0.0
-        accepted = 0
         for record in group:
             b = record.block_index
             scores = FrameScoreVector(b, record.frame_scores)
@@ -397,7 +390,6 @@ def replay(
             missing = (draft is None) + (decode is None) + (score is None)
             if decision.verdict is Verdict.ACCEPT:
                 target = 0.0
-                accepted += b > 0
             else:
                 # A recorded 0 means the factual run accepted this block.
                 target = record.target_time_s or None
@@ -417,7 +409,6 @@ def replay(
                 provenance.append(MODELED if missing == needed else MIXED)
             else:
                 provenance.append(RECORDED)
-            total += draft + decode + score * factor + target
             traces.append(
                 BlockTrace(
                     block_index=b,
@@ -431,13 +422,6 @@ def replay(
                 )
             )
 
-        num_blocks = len(traces)
-        summary = RunSummary(
-            prompt_id=prompt_id,
-            accept_rate_excl_block0=accepted / (num_blocks - 1) if num_blocks > 1 else 0.0,
-            total_time_s=total,
-            quality_proxy=quality_fn(traces) if quality_fn is not None else float("nan"),
-            block_traces=tuple(traces),
-        )
+        summary = summarize_run(prompt_id, traces, latency, quality_fn)
         runs.append(ReplayedRun(summary, tuple(provenance)))
     return runs

@@ -56,6 +56,22 @@ class TestFit:
         bad.write_text("{nope")
         assert main(["fit", "--table", str(bad), "--out", str(tmp_path / "c.json")]) == 3
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{}", b'{"main": 5}', b'{"main": [1]}',
+         b'{"main": [{"method": "target_only", "vr": "abc"}]}',
+         b'{"main": [{"method": "target_only", "vr": ' + b"[" * 990 + b"]" * 990 + b"}]}"],
+        ids=["invalid_utf8", "main_not_an_array", "row_not_an_object", "value_not_a_number",
+             "nested_too_deeply"],
+    )
+    def test_malformed_table_is_a_parse_error(self, tmp_path, capsys, content):
+        bad = tmp_path / "table.json"
+        bad.write_bytes(content)
+        out = tmp_path / "c.json"
+        assert main(["fit", "--table", str(bad), "--out", str(out)]) == 3
+        assert "cannot parse table" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_table_file(self, tmp_path):
         code = main(["fit", "--table", str(tmp_path / "absent.json"), "--out", str(tmp_path / "c.json")])
         assert code == 4
@@ -187,6 +203,29 @@ class TestSimulate:
             )
             assert doc == summary_to_dict(summary)
 
+    @pytest.mark.parametrize("policy", ["threshold", "random", "always-accept", "always-reject"])
+    def test_block0_is_forced_by_default_only_under_threshold(self, cal_path, tmp_path, policy):
+        out = tmp_path / "runs.jsonl"
+        assert main(["simulate", "--calibration", str(cal_path), "--policy", policy,
+                     "--n", "3", "--out", str(out)]) == 0
+        for line in out.read_text().splitlines():
+            reason = json.loads(line)["block_traces"][0]["reason"]
+            assert (reason == "forced_first_block") == (policy == "threshold")
+
+    @pytest.mark.parametrize(
+        "flags", [["--policy", "coin-flip"], ["--policy", "random", "--rate", "1.5"]],
+        ids=["unknown_policy", "rate_out_of_range"],
+    )
+    def test_bad_policy_flags_are_usage_errors(self, cal_path, tmp_path, flags):
+        out = tmp_path / "runs.jsonl"
+        args = ["simulate", "--calibration", str(cal_path), "--out", str(out)] + flags
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert not out.exists()
+
     def test_blocks_override_is_applied(self, cal_path, tmp_path):
         out = tmp_path / "runs.jsonl"
         args = ["simulate", "--calibration", str(cal_path), "--blocks", "3", "--out", str(out)]
@@ -273,6 +312,33 @@ class TestSweep:
         ])
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 1 + 2 + 2
+
+    @pytest.mark.parametrize("command", ["sweep", "ablate"])
+    @pytest.mark.parametrize(
+        "zeroed,arm",
+        [(("c_draft", "c_decode"), "draft_only"),
+         (("c_draft", "c_decode", "c_target", "c_score"), "target_only")],
+        ids=["draft_path", "all_latencies"],
+    )
+    def test_zero_time_arm_is_validation_error(
+        self, cal_path, tmp_path, capsys, command, zeroed, arm
+    ):
+        doc = json.loads(cal_path.read_text())
+        for key in zeroed:
+            doc["latency"][key] = 0.0
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps(doc))
+        out = tmp_path / "o.csv"
+        assert main([command, "--calibration", str(cal), "--n", "1", "--out", str(out)]) == 4
+        assert f"arm {arm} has zero simulated time" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_duplicate_thresholds_are_validation_error(self, cal_path, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--calibration", str(cal_path), "--n", "1",
+                     "--tau-list", "-0.7", "-0.7", "--out", str(out)]) == 4
+        assert "arm labels must be unique" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_json_report(self, cal_path, tmp_path):
         out_json = tmp_path / "s.json"

@@ -21,7 +21,6 @@ from specroute.core import (
 from specroute.engine import (
     Arm,
     BlockExecutionError,
-    append_run_record,
     run_arms_detailed,
     run_video,
     run_video_detailed,
@@ -439,17 +438,3 @@ class TestLockstepArms:
         assert len({id(cache) for cache in caches[:3]}) == 3
         assert len({cache.digests() for cache in caches[:3]}) == 3
         assert caches[3] is caches[0]
-
-
-def test_append_run_record(tmp_path, stack, calibration, config):
-    import json
-
-    path = tmp_path / "runs.jsonl"
-    for pid in ("a", "b"):
-        summary = run(stack, calibration, config, ThresholdPolicy(), prompt_id=pid).summary
-        append_run_record(path, summary)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 2
-    docs = [json.loads(line) for line in lines]
-    assert [d["prompt_id"] for d in docs] == ["a", "b"]
-    assert all(len(d["block_traces"]) == 9 for d in docs)

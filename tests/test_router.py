@@ -14,8 +14,6 @@ from specroute.router import (
     RandomPolicy,
     ThresholdPolicy,
     aggregate,
-    matched_random_policy,
-    policy_from_flags,
 )
 
 finite_scores = st.lists(
@@ -110,38 +108,38 @@ class TestThresholdPolicy:
 class TestRandomPolicy:
     def test_rate_validation(self):
         with pytest.raises(ValueError):
-            matched_random_policy(1.2, seed=0)
+            RandomPolicy(accept_prob=1.2, rng_seed=0)
         with pytest.raises(ValueError):
-            matched_random_policy(-0.1, seed=0)
+            RandomPolicy(accept_prob=-0.1, rng_seed=0)
 
     def test_matched_rate_is_stored(self):
-        assert matched_random_policy(0.731, seed=1).accept_prob == 0.731
+        assert RandomPolicy(accept_prob=0.731, rng_seed=1).accept_prob == 0.731
 
     def test_zero_rate_never_accepts(self):
-        policy = matched_random_policy(0.0, seed=3)
+        policy = RandomPolicy(accept_prob=0.0, rng_seed=3)
         assert not any(policy.decide(b, None).accepted for b in range(1, 200))
 
     def test_one_rate_always_accepts(self):
-        policy = matched_random_policy(1.0, seed=3)
+        policy = RandomPolicy(accept_prob=1.0, rng_seed=3)
         assert all(policy.decide(b, None).accepted for b in range(1, 200))
 
     def test_empirical_rate_matches_binomial(self):
         # 1e5 draws at p=0.731: binomial sigma ~0.0014, band is +-0.005
         n = 100_000
-        policy = matched_random_policy(0.731, seed=77)
+        policy = RandomPolicy(accept_prob=0.731, rng_seed=77)
         hits = sum(policy.decide(b % 8 + 1, None).accepted for b in range(n))
         assert abs(hits / n - 0.731) <= 0.005
 
     def test_decisions_ignore_score(self):
-        a = matched_random_policy(0.5, seed=9)
-        b = matched_random_policy(0.5, seed=9)
+        a = RandomPolicy(accept_prob=0.5, rng_seed=9)
+        b = RandomPolicy(accept_prob=0.5, rng_seed=9)
         seq_a = [a.decide(i, -100.0).accepted for i in range(1, 50)]
         seq_b = [b.decide(i, +100.0).accepted for i in range(1, 50)]
         assert seq_a == seq_b
 
     def test_forced_block0_consumes_no_draw(self):
-        forced = matched_random_policy(0.5, seed=11, force_reject_block0=True)
-        plain = matched_random_policy(0.5, seed=11)
+        forced = RandomPolicy(accept_prob=0.5, rng_seed=11, force_reject_block0=True)
+        plain = RandomPolicy(accept_prob=0.5, rng_seed=11)
         d0 = forced.decide(0, None)
         assert d0.reason is DecisionReason.FORCED_FIRST_BLOCK
         assert [forced.decide(i, None).accepted for i in range(1, 30)] == [
@@ -149,7 +147,7 @@ class TestRandomPolicy:
         ]
 
     def test_random_reasons_are_distinct(self):
-        policy = matched_random_policy(0.5, seed=5)
+        policy = RandomPolicy(accept_prob=0.5, rng_seed=5)
         reasons = {policy.decide(i, None).reason for i in range(1, 100)}
         assert reasons == {DecisionReason.RANDOM_ACCEPT, DecisionReason.RANDOM_REJECT}
 
@@ -169,27 +167,6 @@ class TestFixedPolicies:
 
     def test_decide_function_delegates(self):
         assert AlwaysAcceptPolicy().decide(1, None).accepted
-
-
-class TestPolicyFromFlags:
-    def test_threshold_defaults_to_forced(self):
-        policy = policy_from_flags("threshold", tau=-0.7)
-        assert isinstance(policy, ThresholdPolicy)
-        assert policy.force_reject_block0 is True
-        assert policy.tau == -0.7
-
-    def test_random_with_rate(self):
-        policy = policy_from_flags("random", rate=0.731, seed=5)
-        assert isinstance(policy, RandomPolicy) and policy.accept_prob == 0.731
-        assert policy.force_reject_block0 is False
-
-    def test_always_variants(self):
-        assert isinstance(policy_from_flags("always-accept"), AlwaysAcceptPolicy)
-        assert isinstance(policy_from_flags("always-reject"), AlwaysRejectPolicy)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            policy_from_flags("coin-flip")
 
 
 @settings(max_examples=50)

@@ -250,6 +250,15 @@ class TestReplay:
         # 9 drafted blocks, block 0 rejected: 9*(2.2+0.7) + 10.8
         assert runs[0].summary.total_time_s == pytest.approx(9 * 2.9 + 10.8)
 
+    def test_scoring_counts_as_overlapped_without_latency(self):
+        summary = replay(make_records(), tau=-0.7)[0].summary
+        traces = summary.block_traces
+        assert all(t.score_time_s == 0.4 for t in traces)
+        assert summary.total_time_s == simulate_time(traces, None)
+        assert summary.total_time_s == sum(
+            t.draft_time_s + t.decode_time_s + t.target_time_s for t in traces
+        )
+
     def test_modeled_fallback_flagged(self, calibration):
         records = make_records(with_times=False)
         runs = replay(records, tau=float("-inf"), latency=calibration.latency)
