@@ -2,9 +2,12 @@
 
 The KV cache here is not attention state: it is an append-only log of the
 block payloads each model has committed, which is everything the routing
-algorithm observes. The decoder cache is the temporal state of the causal
-frame decoder; it is cloned before a draft is scored and restored when the
-draft is rejected, so a rejected draft leaves no trace in emitted frames.
+algorithm observes. Committed payloads are immutable by construction, so
+a commit hashes only the block it appends and a video of B blocks costs
+O(B) digests; full verification runs on demand (see KVCache). The decoder
+cache is the temporal state of the causal frame decoder; it is cloned
+before a draft is scored and restored when the draft is rejected, so a
+rejected draft leaves no trace in emitted frames.
 """
 
 from __future__ import annotations
@@ -57,8 +60,11 @@ class KVCache:
     """Append-only commit log of generated blocks for one model.
 
     Entries are immutable once committed; indices are contiguous from 0.
-    Each commit re-verifies the digests of all prior entries, which is
-    cheap at desk scale and makes append-only violations loud.
+    A commit hashes only the block it appends: a LatentBlock's payload is a
+    read-only view over its own bytes, so re-hashing earlier entries on
+    every commit would cost O(B) per block and add no guarantee.
+    verify_integrity() re-hashes every entry against its recorded digest;
+    replay() calls it first, and the engine calls it once per run.
     """
 
     def __init__(self, owner: CacheOwner):
@@ -78,7 +84,6 @@ class KVCache:
                 f"{self.owner.value} cache expected block {len(self._entries)}, "
                 f"got {block.block_index}"
             )
-        self.verify_integrity()
         entry = KVEntry(block.block_index, block.producer, block_digest(block), block)
         self._entries.append(entry)
         return entry
@@ -86,14 +91,14 @@ class KVCache:
     def fork(self) -> KVCache:
         """An independent cache holding the same (immutable) entries.
 
-        Later commits to either cache leave the other unchanged; the
-        fork re-verifies every inherited entry on its own commits.
+        Later commits to either cache leave the other unchanged.
         """
         twin = KVCache(self.owner)
         twin._entries = self._entries.copy()
         return twin
 
     def verify_integrity(self) -> None:
+        """Re-hash every entry; raise IntegrityError on the first that differs."""
         for entry in self._entries:
             if block_digest(entry.block) != entry.digest:
                 raise IntegrityError(
@@ -110,7 +115,8 @@ class KVCache:
         return self._entries[-1].digest if self._entries else "empty"
 
     def replay(self) -> KVCache:
-        """Rebuild an equal cache by re-committing the logged payloads."""
+        """Verify this cache, then rebuild an equal one by re-committing its payloads."""
+        self.verify_integrity()
         fresh = KVCache(self.owner)
         for entry in self._entries:
             fresh.commit(entry.block)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -367,6 +368,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specroute",
@@ -395,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sim)
     p_sim.add_argument("--policy", default="threshold",
                        choices=["threshold", "random", "always-accept", "always-reject"])
-    p_sim.add_argument("--tau", type=float, default=-0.7)
+    p_sim.add_argument("--tau", type=_finite_float, default=-0.7)
     p_sim.add_argument("--rate", type=float, default=0.5, help="accept prob for random policy")
     force = p_sim.add_mutually_exclusive_group()
     force.add_argument("--force-reject-first", dest="force_reject_first",
@@ -412,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="threshold sweep with baselines")
     add_common(p_sweep)
-    p_sweep.add_argument("--tau-list", type=float, nargs="+", default=None,
+    p_sweep.add_argument("--tau-list", type=_finite_float, nargs="+", default=None,
                          help=f"thresholds (default {' '.join(str(t) for t in DEFAULT_SWEEP_TAUS)})")
     p_sweep.add_argument("--n", type=_positive_int, default=1003, help="prompts per arm")
     p_sweep.add_argument("--jobs", type=_positive_int, default=1,
@@ -431,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("replay", help="counterfactual replay of a trace file")
     p_rep.add_argument("--trace", required=True, help="line-delimited trace file")
-    p_rep.add_argument("--tau", type=float, required=True)
+    p_rep.add_argument("--tau", type=_finite_float, required=True)
     p_rep.add_argument("--aggregation", default="min_frame",
                        choices=[m.value for m in AggregationMode])
     p_rep.add_argument("--no-force-reject-first", action="store_true")

@@ -274,7 +274,14 @@ class PromptSpec:
 
 @dataclass(frozen=True)
 class LatentBlock:
-    """One generated latent block, tagged by the model that produced it."""
+    """One generated latent block, tagged by the model that produced it.
+
+    The payload is copied once into a private ``bytes`` object and exposed
+    as a read-only float64 view over it. The block never aliases the
+    caller's array, and numpy refuses ``setflags(write=True)`` on a view of
+    immutable memory, so a block's data, and hence its digest, cannot
+    change after construction.
+    """
 
     block_index: int
     data: np.ndarray
@@ -283,10 +290,10 @@ class LatentBlock:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.data, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
         if not np.isfinite(arr).all():
             raise ValueError(f"latent block {self.block_index} contains non-finite values")
+        frozen = np.frombuffer(arr.tobytes(), dtype=np.float64).reshape(arr.shape)
+        object.__setattr__(self, "data", frozen)
 
 
 @dataclass(frozen=True)

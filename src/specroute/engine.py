@@ -164,6 +164,8 @@ def run_arms_detailed(
     shares the one drafter KVCache (empty when no arm drafts). Arms that
     end in one lane likewise share that lane's target KVCache and
     emitted-frames tuple. Each result equals that of the arm run alone.
+    Before returning, the drafter cache and every lane's target cache are
+    verified once against their recorded digests (IntegrityError if not).
     Arms must not share a stateful policy such as a RandomPolicy, whose
     draws would interleave.
     """
@@ -194,6 +196,10 @@ def run_arms_detailed(
             if forked is not None:
                 lanes.append(forked)
 
+    # Commits hash only the new block; every entry is checked once here.
+    drafter_kv.verify_integrity()
+    for lane in lanes:
+        lane.target_kv.verify_integrity()
     results: list = [None] * len(arms)
     for lane in lanes:
         emitted = tuple(lane.emitted)

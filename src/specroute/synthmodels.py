@@ -592,7 +592,7 @@ class Calibration:
             doc = json.loads(text)
             for path, value in _non_numbers(doc, "calibration"):
                 if path != "calibration.latency.overlap_mode":
-                    raise CalibrationError(f"{path} is not a number: {value!r}")
+                    raise CalibrationError(f"{path} is not a number: {reprlib.repr(value)}")
         except json.JSONDecodeError as exc:
             raise CalibrationError(f"calibration file is not valid JSON: {exc}") from exc
         except RecursionError:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
@@ -154,7 +155,7 @@ def _record_from_obj(obj: object, line_number: int) -> ExternalTraceRecord:
             producer = Producer(producer)
         except ValueError:
             raise TraceFormatError(
-                f"producer_observed must be 'draft' or 'target', got {producer!r}",
+                f"producer_observed must be 'draft' or 'target', got {reprlib.repr(producer)}",
                 line_number,
             ) from None
 

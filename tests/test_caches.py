@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,22 +9,49 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, rule, run_state_machine_as_test
 
+from specroute import caches
 from specroute.caches import (
     CacheOwner,
     ContiguityError,
     IntegrityError,
     KVCache,
+    KVEntry,
     SnapshotMismatchError,
     decode_restore,
     decode_snapshot,
 )
-from specroute.core import GenerationConfig, LatentBlock, Producer, default_config
-from specroute.synthmodels import SyntheticDecoder
+from specroute.core import (
+    GenerationConfig,
+    LatentBlock,
+    Producer,
+    PromptSpec,
+    block_digest,
+    default_config,
+)
+from specroute.engine import run_video_detailed
+from specroute.router import AlwaysRejectPolicy, ThresholdPolicy
+from specroute.synthmodels import SyntheticDecoder, build_synthetic_stack
 
 
 def make_block(index: int, producer: Producer = Producer.DRAFT, fill: float = 0.0) -> LatentBlock:
     data = np.full((3, 4, 8, 8), fill)
     return LatentBlock(index, data, producer, noise_seed=index + 1)
+
+
+def forged(entry: KVEntry) -> KVEntry:
+    return dataclasses.replace(entry, digest="0" * len(entry.digest))
+
+
+def count_digests(monkeypatch):
+    """Count caches.block_digest calls from now on; returns a reader of the count."""
+    calls = []
+
+    def counting(block):
+        calls.append(block.block_index)
+        return block_digest(block)
+
+    monkeypatch.setattr(caches, "block_digest", counting)
+    return lambda: len(calls)
 
 
 class TestKVCache:
@@ -60,14 +88,22 @@ class TestKVCache:
         assert rebuilt.digests() == cache.digests()
         assert rebuilt.producers() == cache.producers()
 
-    def test_mutated_entry_is_detected(self):
+    def test_committed_payloads_refuse_writes(self):
         cache = KVCache(CacheOwner.DRAFTER)
         cache.commit(make_block(0))
-        entry = cache.entries[0]
-        entry.block.data.setflags(write=True)
-        entry.block.data[0, 0, 0, 0] = 99.0
-        with pytest.raises(IntegrityError):
-            cache.commit(make_block(1))
+        fork = cache.fork()
+        fork.commit(make_block(1, fill=1.0))
+        before = cache.digests(), fork.digests()
+        for entry in (cache.entries[0], fork.entries[0], fork.entries[1]):
+            data = entry.block.data
+            for array in (data, data.base):
+                with pytest.raises(ValueError):
+                    array.setflags(write=True)
+            with pytest.raises(ValueError):
+                data[0, 0, 0, 0] = 99.0
+        cache.verify_integrity()
+        fork.verify_integrity()
+        assert (cache.digests(), fork.digests()) == before
 
     def test_fork_is_equal_and_independent(self):
         cache = KVCache(CacheOwner.TARGET)
@@ -84,15 +120,59 @@ class TestKVCache:
         assert cache.producers()[3] is Producer.DRAFT
         assert fork.producers()[3] is Producer.TARGET
 
-    def test_fork_verifies_inherited_entries_on_commit(self):
+    def test_forged_digest_raises_integrity_error(self, stack, calibration, config):
         cache = KVCache(CacheOwner.TARGET)
-        cache.commit(make_block(0))
+        for i in range(3):
+            cache.commit(make_block(i, fill=float(i)))
         fork = cache.fork()
-        data = fork.entries[0].block.data
-        data.setflags(write=True)
-        data[0, 0, 0, 0] = 99.0
-        with pytest.raises(IntegrityError):
-            fork.commit(make_block(1))
+        fork._entries[1] = forged(fork._entries[1])
+        cache.verify_integrity()
+        with pytest.raises(IntegrityError, match="entry 1"):
+            fork.verify_integrity()
+        with pytest.raises(IntegrityError, match="entry 1"):
+            fork.replay()
+
+        class Forging:
+            """Forges entry 0 of the cache it is given before generating the last block."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def generate(self, noise_seed, kv, block_index, prompt):
+                if block_index == config.num_blocks - 1:
+                    kv._entries[0] = forged(kv._entries[0])
+                return self.inner.generate(noise_seed, kv, block_index, prompt)
+
+        for drafter, target, owner in (
+            (Forging(stack.drafter), stack.target, "drafter"),
+            (stack.drafter, Forging(stack.target), "target"),
+        ):
+            with pytest.raises(IntegrityError, match=f"{owner} cache entry 0"):
+                run_video_detailed(
+                    config, PromptSpec("p0"), drafter, target, stack.decoder, stack.scorer,
+                    AlwaysRejectPolicy(), latency=calibration.latency,
+                )
+
+    def test_commit_hashes_only_the_new_block(self, monkeypatch):
+        calls = count_digests(monkeypatch)
+        cache = KVCache(CacheOwner.DRAFTER)
+        for i in range(20):
+            cache.commit(make_block(i, fill=float(i)))
+        assert calls() == 20
+        assert cache.replay() == cache
+        assert calls() == 20 + 2 * 20
+
+    def test_engine_run_hashes_linearly_in_blocks(self, calibration, config, monkeypatch):
+        blocks = 576
+        config = config.with_overrides(num_blocks=blocks)
+        stack = build_synthetic_stack(calibration, config)
+        calls = count_digests(monkeypatch)
+        run_video_detailed(
+            config, PromptSpec("long"), stack.drafter, stack.target, stack.decoder,
+            stack.scorer, ThresholdPolicy(tau=-0.7), latency=calibration.latency,
+        )
+        # One hash per drafter and target commit, plus one end-of-run check of each cache.
+        assert calls() == 4 * blocks
 
     def test_tip_digest_tracks_last_entry(self):
         cache = KVCache(CacheOwner.DRAFTER)

@@ -129,8 +129,8 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "value,code", [(-1.0, 4), (float("inf"), 4), ("abc", 3)],
-        ids=["negative", "infinite", "not_a_number"],
+        "value,code", [(-1.0, 4), (float("inf"), 4), ("abc", 3), ("x" * 100_000, 3)],
+        ids=["negative", "infinite", "not_a_number", "long_string"],
     )
     def test_bad_latency_value_in_calibration(self, cal_path, tmp_path, capsys, value, code):
         doc = json.loads(cal_path.read_text())
@@ -138,7 +138,9 @@ class TestSimulate:
         bad = tmp_path / "cal.json"
         bad.write_text(json.dumps(doc))
         assert main(["simulate", "--calibration", str(bad), "--out", str(tmp_path / "o")]) == code
-        assert "c_draft" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "c_draft" in err
+        assert len(err) < 1024
 
     @pytest.mark.parametrize("depth", [600, 990, 100_000])
     def test_deeply_nested_calibration_is_parse_error(self, tmp_path, depth):
@@ -224,6 +226,22 @@ class TestSimulate:
         except SystemExit as exc:
             code = exc.code
         assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("simulate", "--tau"), ("sweep", "--tau-list"), ("replay", "--tau")],
+    )
+    def test_non_finite_tau_is_usage_error(self, cal_path, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "o"
+        args = [command, flag, value, "--calibration", str(cal_path), "--out", str(out)]
+        if command == "replay":
+            args += ["--trace", str(tmp_path / "absent.jsonl")]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_blocks_override_is_applied(self, cal_path, tmp_path):
@@ -460,6 +478,17 @@ class TestReplayCommand:
         assert main(["replay", "--trace", str(bad), "--tau", "-0.7",
                      "--out", str(tmp_path / "o.json")]) == 3
         assert "line 2" in capsys.readouterr().err
+
+    def test_bad_producer_message_is_bounded(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        record = {"prompt_id": "p0", "block_index": 0, "frame_scores": [0.5],
+                  "producer_observed": "x" * 50_000}
+        bad.write_text(json.dumps(record) + "\n")
+        assert main(["replay", "--trace", str(bad), "--tau", "-0.7",
+                     "--out", str(tmp_path / "o.json")]) == 3
+        err = capsys.readouterr().err
+        assert "producer_observed" in err
+        assert len(err) < 1024
 
     def test_gappy_trace_is_validation_error(self, trace_path, tmp_path):
         lines = trace_path.read_text().splitlines()

@@ -16,6 +16,7 @@ from specroute.core import (
     RoutingDecision,
     RunSummary,
     Verdict,
+    block_digest,
     default_config,
     keyed_generator,
     noise_seed_for_block,
@@ -156,6 +157,14 @@ class TestPayloads:
         block = LatentBlock(0, np.zeros((3, 4, 8, 8)), Producer.DRAFT, noise_seed=1)
         with pytest.raises(ValueError):
             block.data[0, 0, 0, 0] = 1.0
+
+    def test_latent_block_copies_its_payload(self):
+        data = np.zeros((3, 4, 8, 8))
+        block = LatentBlock(0, data, Producer.DRAFT, noise_seed=1)
+        digest = block_digest(block)
+        data[0, 0, 0, 0] = 99.0
+        assert not block.data.any()
+        assert block_digest(block) == digest
 
     def test_frame_score_vector_stats(self):
         v = FrameScoreVector(2, (0.5, -0.3, 0.1))
