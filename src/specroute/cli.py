@@ -448,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--no-force-reject-first", action="store_true")
     p_rep.add_argument("--calibration", default=None,
                        help="latency/quality fallback for records missing timings")
-    p_rep.add_argument("--seed", type=int, default=None)
     p_rep.add_argument("--out", default="-", help="JSON report (default stdout)")
     p_rep.set_defaults(func=cmd_replay)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import reprlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -101,23 +102,20 @@ LATENT_WIDTH = 8
 class GenerationConfig:
     """Protocol constants for one video generation run.
 
-    The default instance reproduces the reference protocol: 9 blocks of 4
-    denoising steps on schedule [1000, 937, 833, 625, 0], 3 latent frames
-    per block decoding to 9 pixel frames for block 0 and 12 for later
-    blocks, routing threshold -0.7, seed 42.
+    The default instance is the reference protocol's block layout: 9
+    blocks of 3 latent frames each, decoding to 9 pixel frames for block 0
+    and 12 for later blocks, seed 42. The routing threshold is not part of
+    the config: it comes only from the --tau and --tau-list flags.
     """
 
+    # The paper's reference protocol also fixes 4 denoising steps per block
+    # at 832x480 (PAPER.md). The synthetic stack does not simulate denoising
+    # or pixel resolution, so neither is a setting here.
     num_blocks: int = 9
-    denoise_steps: int = 4
-    timestep_schedule: tuple[int, ...] = (1000, 937, 833, 625, 0)
-    guidance_scale: float = 3.0
-    timestep_shift: float = 5.0
     latent_frames_per_block: int = 3
     pixel_frames_first_block: int = 9
     pixel_frames_later_block: int = 12
-    threshold: float = -0.7
     seed: int = 42
-    resolution: tuple[int, int] = (832, 480)
     # Forced rejections (block 0 under the default policy) skip scoring and
     # leave the block's aggregate score absent; set True to score anyway for
     # diagnostics or for exporting replayable traces.
@@ -126,33 +124,11 @@ class GenerationConfig:
     def __post_init__(self) -> None:
         if self.num_blocks < 1:
             raise ConfigError(f"num_blocks must be >= 1, got {self.num_blocks}")
-        if self.denoise_steps < 1:
-            raise ConfigError(f"denoise_steps must be >= 1, got {self.denoise_steps}")
-        sched = tuple(int(t) for t in self.timestep_schedule)
-        object.__setattr__(self, "timestep_schedule", sched)
-        if len(sched) != self.denoise_steps + 1:
-            raise ConfigError(
-                f"timestep_schedule needs {self.denoise_steps + 1} entries, got {len(sched)}"
-            )
-        if any(t < 0 for t in sched):
-            raise ConfigError("timestep_schedule entries must be non-negative")
-        if any(a <= b for a, b in zip(sched, sched[1:])):
-            raise ConfigError(f"timestep_schedule must be strictly decreasing: {sched}")
-        if sched[-1] != 0:
-            raise ConfigError(f"timestep_schedule must end at 0, got {sched[-1]}")
-        if self.guidance_scale <= 0 or self.timestep_shift <= 0:
-            raise ConfigError("guidance_scale and timestep_shift must be positive")
         for name in ("latent_frames_per_block", "pixel_frames_first_block", "pixel_frames_later_block"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be unsigned")
-        if not math.isfinite(self.threshold):
-            raise ConfigError("threshold must be finite")
-        res = (int(self.resolution[0]), int(self.resolution[1]))
-        object.__setattr__(self, "resolution", res)
-        if res[0] < 1 or res[1] < 1:
-            raise ConfigError("resolution must be positive")
 
     def with_overrides(self, **kwargs) -> GenerationConfig:
         return replace(self, **kwargs)
@@ -162,16 +138,10 @@ class GenerationConfig:
     def to_text(self) -> str:
         lines = ["# specroute generation config"]
         lines.append(f"num_blocks = {self.num_blocks}")
-        lines.append(f"denoise_steps = {self.denoise_steps}")
-        lines.append("timestep_schedule = " + ", ".join(str(t) for t in self.timestep_schedule))
-        lines.append(f"guidance_scale = {self.guidance_scale!r}")
-        lines.append(f"timestep_shift = {self.timestep_shift!r}")
         lines.append(f"latent_frames_per_block = {self.latent_frames_per_block}")
         lines.append(f"pixel_frames_first_block = {self.pixel_frames_first_block}")
         lines.append(f"pixel_frames_later_block = {self.pixel_frames_later_block}")
-        lines.append(f"threshold = {self.threshold!r}")
         lines.append(f"seed = {self.seed}")
-        lines.append(f"resolution = {self.resolution[0]}x{self.resolution[1]}")
         lines.append(f"score_forced_rejections = {str(self.score_forced_rejections).lower()}")
         return "\n".join(lines) + "\n"
 
@@ -184,10 +154,10 @@ class GenerationConfig:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ConfigParseError(f"malformed config line: {raw!r}")
+                raise ConfigParseError(f"malformed config line: {reprlib.repr(raw)}")
             key, _, val = line.partition("=")
             if key.strip() not in _CONFIG_PARSERS:
-                raise ConfigParseError(f"unknown config key {key.strip()!r}")
+                raise ConfigParseError(f"unknown config key {reprlib.repr(key.strip())}")
             values[key.strip()] = val.strip()
         fields = {}
         for key, parse in _CONFIG_PARSERS.items():
@@ -199,7 +169,7 @@ class GenerationConfig:
                 fields[key] = parse(values[key])
             except ValueError:
                 raise ConfigParseError(
-                    f"config field {key} has a malformed value: {values[key]!r}"
+                    f"config field {key} has a malformed value: {reprlib.repr(values[key])}"
                 ) from None
         return cls(**fields)
 
@@ -215,11 +185,6 @@ class GenerationConfig:
         return cls.from_text(text)
 
 
-def _parse_resolution(text: str) -> tuple[int, int]:
-    w, _, h = text.partition("x")
-    return int(w), int(h)
-
-
 def _parse_bool(text: str) -> bool:
     if text not in ("true", "false"):
         raise ValueError(text)
@@ -229,16 +194,10 @@ def _parse_bool(text: str) -> bool:
 # One parser per to_text key; a parser raises ValueError on malformed text.
 _CONFIG_PARSERS = {
     "num_blocks": int,
-    "denoise_steps": int,
-    "timestep_schedule": lambda text: tuple(int(t) for t in text.split(",")),
-    "guidance_scale": float,
-    "timestep_shift": float,
     "latent_frames_per_block": int,
     "pixel_frames_first_block": int,
     "pixel_frames_later_block": int,
-    "threshold": float,
     "seed": int,
-    "resolution": _parse_resolution,
     "score_forced_rejections": _parse_bool,
 }
 

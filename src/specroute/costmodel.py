@@ -33,6 +33,14 @@ __all__ = [
 TARGET_ONLY = "target_only"
 DRAFT_ONLY = "draft_only"
 
+# Blocks per video in the reference table's protocol. Every fit of the
+# table's rows, and synthetic_table's inverse of those fits, assumes this.
+TABLE_NUM_BLOCKS = 9
+
+# Share of the fitted draft-path cost booked as c_decode. End-to-end times
+# identify only c_draft + c_decode, so the split is a convention.
+DECODE_FRACTION = 0.25
+
 
 class OverlapMode(str, Enum):
     # Reward scoring runs on a second device and does not block denoising,
@@ -117,15 +125,13 @@ def expected_rejected_blocks(accept_rate_excl_block0: float, num_blocks: int) ->
 
 def fit_latencies(
     rows: Sequence[tuple[str | float, float]],
-    num_blocks: int = 9,
-    decode_fraction: float = 0.25,
 ) -> tuple[LatencyParams, LatencyFitReport]:
     """Non-negative least-squares fit of the linear timing model.
 
     Each row is (accept_rate | "target_only" | "draft_only", measured seconds).
     Threshold rows are mapped to expected rejection counts; the target-only
-    row pins B * c_target and the draft-only row pins the draft-path cost.
-    decode_fraction sets the (unidentifiable) share of the draft-path cost
+    row pins B * c_target and the draft-only row pins the draft-path cost,
+    with B = TABLE_NUM_BLOCKS. DECODE_FRACTION of the draft-path cost is
     attributed to c_decode for trace bookkeeping.
     """
     if len(rows) < 4:
@@ -134,24 +140,24 @@ def fit_latencies(
     missing = {TARGET_ONLY, DRAFT_ONLY} - kinds
     if missing:
         raise LatencyFitError(f"missing baseline rows: {sorted(missing)}")
-    if not 0.0 <= decode_fraction <= 1.0:
-        raise LatencyFitError("decode_fraction must be in [0, 1]")
 
     design, targets, labels = [], [], []
     for kind, time_s in rows:
         if time_s <= 0:
             raise LatencyFitError(f"non-positive measured time {time_s} for row {kind!r}")
         if kind == TARGET_ONLY:
-            design.append((0.0, float(num_blocks)))
+            design.append((0.0, float(TABLE_NUM_BLOCKS)))
             labels.append(TARGET_ONLY)
         elif kind == DRAFT_ONLY:
-            design.append((float(num_blocks), 0.0))
+            design.append((float(TABLE_NUM_BLOCKS), 0.0))
             labels.append(DRAFT_ONLY)
         else:
             rate = float(kind)
             if not 0.0 <= rate <= 1.0:
                 raise LatencyFitError(f"accept rate {rate} outside [0, 1]")
-            design.append((float(num_blocks), expected_rejected_blocks(rate, num_blocks)))
+            design.append(
+                (float(TABLE_NUM_BLOCKS), expected_rejected_blocks(rate, TABLE_NUM_BLOCKS))
+            )
             labels.append(f"accept={rate:g}")
         targets.append(float(time_s))
 
@@ -163,9 +169,9 @@ def fit_latencies(
         raise LatencyFitError("fit produced all-zero latency parameters")
 
     params = LatencyParams(
-        c_draft=draft_path * (1.0 - decode_fraction),
+        c_draft=draft_path * (1.0 - DECODE_FRACTION),
         c_target=c_target,
-        c_decode=draft_path * decode_fraction,
+        c_decode=draft_path * DECODE_FRACTION,
         c_score=0.0,
         overlap_mode=OverlapMode.SCORING_OVERLAPPED,
     )

@@ -120,30 +120,21 @@ def draft_only_arm() -> ArmSpec:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """What to sweep: thresholds, prompt count, seed, and any extra arms."""
+    """What to sweep: thresholds, prompt count and seed."""
 
     thresholds: tuple[float, ...]
     num_prompts: int = 1003
     seed: int = 42
-    aggregation: AggregationMode = AggregationMode.MIN_FRAME
-    extra_arms: tuple[ArmSpec, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
-        object.__setattr__(self, "extra_arms", tuple(self.extra_arms))
         if not self.thresholds:
             raise ValueError("thresholds must be non-empty")
         if self.num_prompts < 1:
             raise ValueError("num_prompts must be >= 1")
 
     def arms(self) -> list[ArmSpec]:
-        mk = threshold_arm if self.aggregation is AggregationMode.MIN_FRAME else mean_frame_arm
-        return (
-            [target_only_arm()]
-            + [mk(t) for t in self.thresholds]
-            + [draft_only_arm()]
-            + list(self.extra_arms)
-        )
+        return [target_only_arm(), *map(threshold_arm, self.thresholds), draft_only_arm()]
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,7 @@ from .core import (
 )
 from .costmodel import (
     DRAFT_ONLY,
+    TABLE_NUM_BLOCKS,
     TARGET_ONLY,
     LatencyFitReport,
     LatencyParams,
@@ -354,7 +355,6 @@ class QualityFitReport:
     """Expected-vs-measured quality per fitted row; non-fatal on breach."""
 
     rows: tuple[tuple[str, float, float, float], ...]  # (label, measured, expected, residual)
-    tolerance: float
 
     @property
     def max_abs_residual(self) -> float:
@@ -362,7 +362,7 @@ class QualityFitReport:
 
     @property
     def within_tolerance(self) -> bool:
-        return self.max_abs_residual <= self.tolerance
+        return self.max_abs_residual <= QUALITY_FIT_TOLERANCE
 
     def lines(self) -> list[str]:
         out = []
@@ -374,7 +374,7 @@ class QualityFitReport:
         status = "OK" if self.within_tolerance else "EXCEEDS TOLERANCE"
         out.append(
             f"max |residual| = {self.max_abs_residual:.5f} "
-            f"(tolerance {self.tolerance:g}) {status}"
+            f"(tolerance {QUALITY_FIT_TOLERANCE:g}) {status}"
         )
         return out
 
@@ -382,8 +382,6 @@ class QualityFitReport:
 def fit_quality_proxy(
     rows: "ReferenceTable | Sequence[TableRow]",
     quantile: DraftQualityModel,
-    num_blocks: int = 9,
-    tolerance: float = QUALITY_FIT_TOLERANCE,
 ) -> tuple[QualityProxyModel, QualityFitReport]:
     """Fit segment penalties so expected run quality matches the table.
 
@@ -391,8 +389,8 @@ def fit_quality_proxy(
     and the draft-only row (a small linear program), subject to the
     penalty function being non-negative and non-increasing in the score.
     The measured quality column need not be monotone, so a nonzero
-    residual floor can be unavoidable; breaches of `tolerance` are
-    reported, not raised.
+    residual floor can be unavoidable; breaches of QUALITY_FIT_TOLERANCE
+    are reported, not raised. Runs are TABLE_NUM_BLOCKS blocks long.
     """
     main = rows.main if isinstance(rows, ReferenceTable) else list(rows)
     base_row = _single_row(main, TARGET_ONLY)
@@ -411,7 +409,7 @@ def fit_quality_proxy(
     masses += [accept_at[k] - accept_at[k - 1] for k in range(1, len(edges))]
     masses.append(1.0 - accept_at[-1])
     n_seg = len(masses)
-    eligible = num_blocks - 1  # block 0 is force-rejected in threshold runs
+    eligible = TABLE_NUM_BLOCKS - 1  # block 0 is force-rejected in threshold runs
 
     # Variables: segment penalties p_0..p_{n-1}, then the Chebyshev bound t.
     c = np.zeros(n_seg + 1)
@@ -430,7 +428,7 @@ def fit_quality_proxy(
         coeffs = np.zeros(n_seg)
         coeffs[: j + 1] = eligible * np.asarray(masses[: j + 1])
         add_abs_constraint(coeffs, base - row.vr)
-    add_abs_constraint(num_blocks * np.asarray(masses), base - draft_row.vr)
+    add_abs_constraint(TABLE_NUM_BLOCKS * np.asarray(masses), base - draft_row.vr)
     for k in range(n_seg - 1):
         row = np.zeros(n_seg + 1)
         row[k], row[k + 1] = 1.0, -1.0
@@ -460,9 +458,11 @@ def fit_quality_proxy(
     for row in threshold_rows:
         expected = base - eligible * model.expected_penalty_above(quantile, row.tau)
         report_rows.append((f"threshold(tau={row.tau:g})", row.vr, expected, expected - row.vr))
-    expected_draft = base - num_blocks * model.expected_penalty_above(quantile, float("-inf"))
+    expected_draft = base - TABLE_NUM_BLOCKS * model.expected_penalty_above(
+        quantile, float("-inf")
+    )
     report_rows.append((DRAFT_ONLY, draft_row.vr, expected_draft, expected_draft - draft_row.vr))
-    return model, QualityFitReport(rows=tuple(report_rows), tolerance=tolerance)
+    return model, QualityFitReport(rows=tuple(report_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +538,9 @@ def load_reference_table(path: str | Path | None = None) -> ReferenceTable:
         sections = {"main": doc["main"], "ablation": doc.get("ablation", [])}
         for where, value in _non_numbers(sections, "table"):
             if value is not None and not where.endswith(".method"):
-                raise CalibrationError(f"{where} is not a number: {reprlib.repr(value)}")
+                raise CalibrationError(
+                    f"{_KEY_PATH.repr(where)} is not a number: {reprlib.repr(value)}"
+                )
     except UnicodeDecodeError as exc:
         raise CalibrationError(f"reference table is not valid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -592,7 +594,9 @@ class Calibration:
             doc = json.loads(text)
             for path, value in _non_numbers(doc, "calibration"):
                 if path != "calibration.latency.overlap_mode":
-                    raise CalibrationError(f"{path} is not a number: {reprlib.repr(value)}")
+                    raise CalibrationError(
+                        f"{_KEY_PATH.repr(path)} is not a number: {reprlib.repr(value)}"
+                    )
         except json.JSONDecodeError as exc:
             raise CalibrationError(f"calibration file is not valid JSON: {exc}") from exc
         except RecursionError:
@@ -624,6 +628,12 @@ class Calibration:
         return Calibration(quantile=quantile, latency=self.latency, proxy=self.proxy)
 
 
+# Echoes a key path from _non_numbers in a message: every path of a
+# well-formed file fits, and a path built from a huge key is cut short.
+_KEY_PATH = reprlib.Repr()
+_KEY_PATH.maxstring = 80
+
+
 def _non_numbers(value, path: str):
     """Yield (path, value) for every leaf under value that is not a JSON number."""
     if isinstance(value, dict):
@@ -636,7 +646,7 @@ def _non_numbers(value, path: str):
         yield path, value
 
 
-def synthetic_table(calibration: Calibration, num_blocks: int = 9) -> ReferenceTable:
+def synthetic_table(calibration: Calibration) -> ReferenceTable:
     """Model-predicted table at the calibration's own knots.
 
     Refitting this table reproduces the calibration exactly (the rows are
@@ -644,7 +654,7 @@ def synthetic_table(calibration: Calibration, num_blocks: int = 9) -> ReferenceT
     fixed point). Useful as a self-consistency oracle.
     """
     quantile, latency, proxy = calibration.quantile, calibration.latency, calibration.proxy
-    b = num_blocks
+    b = TABLE_NUM_BLOCKS
     t_target = b * latency.c_target
     draft_path = b * latency.draft_path_cost
 
@@ -713,7 +723,6 @@ def table_to_json_dict(table: ReferenceTable) -> dict:
 
 def fit_calibration(
     table: ReferenceTable,
-    num_blocks: int = 9,
     rng_seed: int = 42,
 ) -> tuple[Calibration, LatencyFitReport, QualityFitReport]:
     """Fit all three models from a reference table in dependency order."""
@@ -739,9 +748,9 @@ def fit_calibration(
         if key is None:
             raise CalibrationError(f"threshold row tau={row.tau} is missing accept_rate")
         latency_rows.append((key, row.time_s))
-    latency, latency_report = fit_latencies(latency_rows, num_blocks=num_blocks)
+    latency, latency_report = fit_latencies(latency_rows)
 
-    proxy, quality_report = fit_quality_proxy(table.main, quantile, num_blocks=num_blocks)
+    proxy, quality_report = fit_quality_proxy(table.main, quantile)
     return Calibration(quantile, latency, proxy), latency_report, quality_report
 
 
@@ -797,15 +806,14 @@ class SyntheticDecoder(DecoderInterface):
     payload and the decoder's temporal state.
     """
 
-    def __init__(self, config: GenerationConfig, frame_shape: tuple[int, int] = FRAME_SHAPE):
+    def __init__(self, config: GenerationConfig):
         self.config = config
-        self.frame_shape = frame_shape
 
     def fresh_state(self) -> SynthDecodeState:
         geometry = (
             self.config.pixel_frames_first_block,
             self.config.pixel_frames_later_block,
-            *self.frame_shape,
+            *FRAME_SHAPE,
         )
         return SynthDecodeState(
             carry=np.zeros(CARRY_LEN), blocks_decoded=0, geometry=geometry
@@ -818,7 +826,7 @@ class SyntheticDecoder(DecoderInterface):
             state.digest(),
             latent.data.tobytes(),
         )
-        frames = rng.standard_normal((num, *self.frame_shape)) * 0.05
+        frames = rng.standard_normal((num, *FRAME_SHAPE)) * 0.05
         slots = latent.data.reshape(-1)[:num]
         frames[:, 0, 0] = slots
         # Temporal update: later blocks condition on everything decoded so far.
@@ -857,9 +865,8 @@ class SyntheticDrafter(GeneratorInterface):
 class SyntheticTarget(GeneratorInterface):
     """Slow, high-quality generator invoked on rejection."""
 
-    def __init__(self, config: GenerationConfig, frame_score: float = TARGET_FRAME_SCORE):
+    def __init__(self, config: GenerationConfig):
         self.config = config
-        self.frame_score = frame_score
 
     def generate(
         self, noise_seed: int, kv: KVCache, block_index: int, prompt: PromptSpec
@@ -869,7 +876,7 @@ class SyntheticTarget(GeneratorInterface):
         data = rng.standard_normal(
             (self.config.latent_frames_per_block, LATENT_CHANNELS, LATENT_HEIGHT, LATENT_WIDTH)
         )
-        data.reshape(-1)[:num] = self.frame_score
+        data.reshape(-1)[:num] = TARGET_FRAME_SCORE
         return LatentBlock(block_index, data, Producer.TARGET, noise_seed)
 
 

@@ -132,7 +132,7 @@ def _record_from_obj(obj: object, line_number: int) -> ExternalTraceRecord:
         raise TraceFormatError("record must be a JSON object", line_number)
     if not obj.keys() <= _KNOWN_KEYS:
         unknown = obj.keys() - _KNOWN_KEYS
-        raise TraceFormatError(f"unknown fields {sorted(unknown)}", line_number)
+        raise TraceFormatError(f"unknown fields {reprlib.repr(sorted(unknown))}", line_number)
     if not obj.keys() >= _REQUIRED_KEYS:
         missing = _REQUIRED_KEYS - obj.keys()
         raise TraceFormatError(f"missing required fields {sorted(missing)}", line_number)

@@ -283,7 +283,7 @@ def test_criterion_7_trace_round_trip(calibration):
         start = time.perf_counter()
         config = GenerationConfig(score_forced_rejections=True)
         stack = build_synthetic_stack(calibration.with_seed(SEED), config)
-        tau = config.threshold
+        tau = -0.7
         records = []
         live = {}
         for pid in ("t0", "t1", "t2"):

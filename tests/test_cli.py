@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import time
 
 import pytest
 
-from specroute.cli import main
+from specroute.cli import build_parser, main
 from specroute.core import PromptSpec, default_config, summary_to_dict
 from specroute.engine import run_video
 from specroute.sweep import random_arm, run_arms, target_only_arm
@@ -60,16 +61,19 @@ class TestFit:
         "content",
         [b"\xff\xfe{}", b'{"main": 5}', b'{"main": [1]}',
          b'{"main": [{"method": "target_only", "vr": "abc"}]}',
-         b'{"main": [{"method": "target_only", "vr": ' + b"[" * 990 + b"]" * 990 + b"}]}"],
+         b'{"main": [{"method": "target_only", "vr": ' + b"[" * 990 + b"]" * 990 + b"}]}",
+         b'{"main": [{"method": "target_only", "' + b"k" * 100_000 + b'": "abc"}]}'],
         ids=["invalid_utf8", "main_not_an_array", "row_not_an_object", "value_not_a_number",
-             "nested_too_deeply"],
+             "nested_too_deeply", "long_key"],
     )
     def test_malformed_table_is_a_parse_error(self, tmp_path, capsys, content):
         bad = tmp_path / "table.json"
         bad.write_bytes(content)
         out = tmp_path / "c.json"
         assert main(["fit", "--table", str(bad), "--out", str(out)]) == 3
-        assert "cannot parse table" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cannot parse table" in err
+        assert len(err) < 1024
         assert not out.exists()
 
     def test_missing_table_file(self, tmp_path):
@@ -142,6 +146,16 @@ class TestSimulate:
         assert "c_draft" in err
         assert len(err) < 1024
 
+    def test_long_calibration_key_message_is_bounded(self, cal_path, tmp_path, capsys):
+        doc = json.loads(cal_path.read_text())
+        doc["latency"]["k" * 100_000] = "abc"
+        bad = tmp_path / "cal.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["simulate", "--calibration", str(bad), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "calibration.latency.kkk" in err
+        assert len(err) < 1024
+
     @pytest.mark.parametrize("depth", [600, 990, 100_000])
     def test_deeply_nested_calibration_is_parse_error(self, tmp_path, depth):
         bad = tmp_path / "cal.json"
@@ -151,8 +165,12 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "line,code,named",
         [("num_blocks = abc", 3, "num_blocks"), ("num_blokcs = 9", 3, "num_blokcs"),
-         ("num_blocks = 0", 4, "num_blocks")],
-        ids=["not_a_number", "unknown_key", "breaks_invariant"],
+         ("num_blocks = 0", 4, "num_blocks"), ("threshold = -0.7", 3, "threshold"),
+         ("k" * 100_000 + " = 9", 3, "unknown config key"),
+         ("num_blocks = " + "9" * 100_000 + "x", 3, "num_blocks"),
+         ("k" * 100_000, 3, "malformed config line")],
+        ids=["not_a_number", "unknown_key", "breaks_invariant", "removed_key", "long_key",
+             "long_value", "long_line"],
     )
     def test_bad_config_file(self, cal_path, tmp_path, capsys, line, code, named):
         text = default_config().to_text()
@@ -162,7 +180,9 @@ class TestSimulate:
         args = ["simulate", "--calibration", str(cal_path), "--config", str(bad),
                 "--out", str(tmp_path / "o")]
         assert main(args) == code
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err
+        assert len(err) < 1024
 
     @pytest.mark.parametrize("flag", ["--calibration", "--config"])
     def test_invalid_utf8_input_file_is_parse_error(self, cal_path, tmp_path, flag):
@@ -490,6 +510,17 @@ class TestReplayCommand:
         assert "producer_observed" in err
         assert len(err) < 1024
 
+    def test_unknown_field_message_is_bounded(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        record = {"prompt_id": "p0", "block_index": 0, "frame_scores": [0.5],
+                  "k" * 100_000: 1}
+        bad.write_text(json.dumps(record) + "\n")
+        assert main(["replay", "--trace", str(bad), "--tau", "-0.7",
+                     "--out", str(tmp_path / "o.json")]) == 3
+        err = capsys.readouterr().err
+        assert "unknown fields" in err
+        assert len(err) < 1024
+
     def test_gappy_trace_is_validation_error(self, trace_path, tmp_path):
         lines = trace_path.read_text().splitlines()
         gappy = tmp_path / "gappy.jsonl"
@@ -500,3 +531,53 @@ class TestReplayCommand:
     def test_missing_trace_file(self, tmp_path):
         assert main(["replay", "--trace", str(tmp_path / "absent.jsonl"), "--tau", "-0.7",
                      "--out", str(tmp_path / "o.json")]) == 4
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records which attributes are read."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestFlags:
+    def test_every_flag_is_read(self, cal_path, tmp_path):
+        def o(name):
+            return str(tmp_path / name)
+
+        cal, trace = ["--calibration", str(cal_path)], o("trace.jsonl")
+        small = ["--n", "1", "--blocks", "2", "--seed", "42"]
+        invocations = [
+            ["fit", "--out", o("cal.json"), "--seed", "42"],
+            ["simulate", *cal, *small, "--out", o("runs.jsonl"), "--export-trace", trace],
+            ["simulate", *cal, *small, "--policy", "random", "--out", o("runs.jsonl")],
+            ["sweep", *cal, *small, "--tau-list", "-0.7", "--jobs", "1",
+             "--out", o("sweep.csv"), "--out-json", o("sweep.json")],
+            ["ablate", *cal, *small, "--jobs", "1", "--out", o("ablate.csv")],
+            ["replay", "--trace", trace, "--tau", "-0.7", *cal, "--out", o("replay.json")],
+        ]
+        parser = build_parser()
+        reads: dict[str, set[str]] = {}
+        for argv in invocations:
+            args = parser.parse_args(argv, namespace=_ReadRecorder())
+            args._reads.clear()  # parsing itself reads every attribute
+            assert args.func(args) in (0, 1)
+            reads.setdefault(argv[0], set()).update(args._reads)
+
+        subparsers = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        unread = [
+            f"{name} {action.option_strings[0]}"
+            for name, sub in subparsers.items()
+            for action in sub._actions
+            if action.option_strings and action.dest != "help"
+            and action.dest not in reads[name]
+        ]
+        assert unread == []

@@ -121,7 +121,7 @@ class TestFitLatencies:
             fit_latencies(ALL_ROWS + [(0.5, 0.0)])
 
     def test_decode_fraction_splits_draft_path(self):
-        params, _ = fit_latencies(ALL_ROWS, decode_fraction=0.25)
+        params, _ = fit_latencies(ALL_ROWS)
         assert params.c_decode == pytest.approx(0.25 * params.draft_path_cost)
         assert params.c_draft == pytest.approx(0.75 * params.draft_path_cost)
 

@@ -7,6 +7,7 @@ from concurrent.futures import Future
 import pytest
 
 from specroute import sweep
+from specroute.cli import main
 from specroute.sweep import (
     SweepRow,
     SweepSpec,
@@ -82,14 +83,9 @@ class TestRunSweep:
         assert by_label["target_only"].accept_rate == 0.0
 
     def test_adding_arms_never_shifts_existing_rows(self, calibration, small_rows):
-        extended = run_sweep(
-            SweepSpec(
-                thresholds=SMALL_TAUS,
-                num_prompts=40,
-                seed=11,
-                extra_arms=(random_arm(0.7, force_reject_block0=False),),
-            ),
-            calibration,
+        spec = SweepSpec(thresholds=SMALL_TAUS, num_prompts=40, seed=11)
+        extended = run_arms(
+            spec.arms() + [random_arm(0.7, force_reject_block0=False)], 40, 11, calibration
         )
         assert extended[:-1] == small_rows
 
@@ -100,14 +96,9 @@ class TestRunSweep:
         assert parallel == small_rows
 
     def test_random_arm_quality_below_threshold_arms_at_matched_rate(self, calibration):
-        rows = run_sweep(
-            SweepSpec(
-                thresholds=(-0.7, -1.0, -2.5),
-                num_prompts=120,
-                seed=3,
-                extra_arms=(random_arm(0.70, force_reject_block0=False),),
-            ),
-            calibration,
+        spec = SweepSpec(thresholds=(-0.7, -1.0, -2.5), num_prompts=120, seed=3)
+        rows = run_arms(
+            spec.arms() + [random_arm(0.70, force_reject_block0=False)], 120, 3, calibration
         )
         by_label = {r.label: r for r in rows}
         random_quality = by_label["random(rate=0.7)"].quality
@@ -131,6 +122,33 @@ class TestRunSweep:
             run_arms(ablation, 12, seed, calibration)
         )
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "flags,digest",
+        [
+            ([], "fd27d50113f343045848b413faa0a3942968db1f928c7089cbda90ee12229d18"),
+            (["--policy", "random"],
+             "4dd472443e3b91f783cd35603760426079e2292fcb838fe6d470f740d030b34b"),
+        ],
+        ids=["threshold", "random"],
+    )
+    def test_simulate_jsonl_is_pinned(self, calibration, tmp_path, flags, digest):
+        cal, out = tmp_path / "cal.json", tmp_path / "runs.jsonl"
+        calibration.save(cal)
+        assert main(["simulate", "--calibration", str(cal), "--n", "3", "--seed", "42",
+                     "--out", str(out)] + flags) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_replay_json_of_an_exported_trace_is_pinned(self, calibration, tmp_path):
+        cal, trace, out = tmp_path / "cal.json", tmp_path / "trace.jsonl", tmp_path / "replay.json"
+        calibration.save(cal)
+        assert main(["simulate", "--calibration", str(cal), "--n", "3", "--seed", "42",
+                     "--out", str(tmp_path / "runs.jsonl"), "--export-trace", str(trace)]) == 0
+        assert main(["replay", "--trace", str(trace), "--tau", "-1.0",
+                     "--calibration", str(cal), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "943c795b6b05e2d6b8259a9a79d0ffa90ec4b5f28a8c80c594e3892d4a8896bb"
+        )
 
     def test_duplicate_labels_rejected(self, calibration):
         with pytest.raises(ValueError):

@@ -410,7 +410,7 @@ class TestEngineSelfConsistency:
 
         config = default_config().with_overrides(score_forced_rejections=True)
         stack = build_synthetic_stack(calibration, config)
-        tau = config.threshold
+        tau = -0.7
         for pid in ("r0", "r1", "r2"):
             res = run_video_detailed(
                 config,
