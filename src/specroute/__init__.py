@@ -47,7 +47,6 @@ from .engine import (
     RunResult,
     ScorerInterface,
     run_arms_detailed,
-    run_video,
     run_video_detailed,
 )
 from .router import (

@@ -18,13 +18,11 @@ makes --seed mandatory.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
-from contextlib import contextmanager
-from pathlib import Path
+from contextlib import ExitStack, contextmanager
 
 from .core import (
     ConfigError,
@@ -34,19 +32,19 @@ from .core import (
     summary_to_dict,
 )
 from .costmodel import LatencyFitError
-from .engine import run_video
-from .router import AggregationMode
+from .engine import Arm, BlockExecutionError
+from .router import AggregationMode, AlwaysAcceptPolicy, AlwaysRejectPolicy, ThresholdPolicy
 from .sweep import (
     ArmSpec,
     SweepSpec,
     ablation_arms,
     draft_only_arm,
     pareto_check,
-    prompt_spec,
     random_arm,
     rows_to_csv,
     rows_to_json_dict,
     run_arms,
+    run_prompts,
     run_sweep,
     target_only_arm,
 )
@@ -55,7 +53,6 @@ from .synthmodels import (
     CalibrationError,
     CalibrationValueError,
     QUALITY_FIT_TOLERANCE,
-    build_synthetic_stack,
     fit_calibration,
     load_reference_table,
 )
@@ -64,7 +61,7 @@ from .traceio import (
     parse_trace_file,
     records_from_traces,
     replay,
-    write_trace_file,
+    serialize_records,
 )
 
 EXIT_PARETO = 1
@@ -104,17 +101,26 @@ def _writing(flag: str, path):
     """Turn a failure to write an output file into a usage error naming its flag."""
     try:
         yield
+    except BrokenPipeError:
+        raise  # stdout's reader went away, as in `| head`; main exits 0
     except OSError as exc:
         reason = exc.strerror or type(exc).__name__
         raise CliFailure(EXIT_USAGE, f"cannot write {flag} {path}: {reason}") from None
+
+
+@contextmanager
+def _output(flag: str, path: str):
+    """The write function of an output file, opened now; see _writing for its failures."""
+    with _writing(flag, path), open(path, "w", encoding="utf-8") as fh:
+        yield fh.write
 
 
 def _write_text(flag: str, path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    with _writing(flag, path):
-        Path(path).write_text(text, encoding="utf-8")
+    with _output(flag, path) as write:
+        write(text)
 
 
 def _resolve_seed(args) -> int:
@@ -163,7 +169,6 @@ def _load_config(args) -> GenerationConfig:
 
 
 def cmd_fit(args) -> int:
-    seed = _resolve_seed(args)
     try:
         table = load_reference_table(args.table)
     except OSError as exc:
@@ -172,7 +177,7 @@ def cmd_fit(args) -> int:
         raise CliFailure(EXIT_PARSE, f"cannot parse table: {exc}") from exc
 
     try:
-        calibration, latency_report, quality_report = fit_calibration(table, rng_seed=seed)
+        calibration, latency_report, quality_report = fit_calibration(table)
     except LatencyFitError as exc:
         raise CliFailure(EXIT_VALIDATION, f"latency fit: {exc}") from exc
     except CalibrationError as exc:
@@ -200,47 +205,36 @@ def cmd_fit(args) -> int:
 
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
-    calibration = _load_calibration(args).with_seed(seed)
-    config = _load_config(args).with_overrides(seed=seed)
+    calibration = _load_calibration(args)
+    config = _load_config(args)
     if args.export_trace:
         # Exported records need per-frame scores on every block, including
         # force-rejected ones.
         config = config.with_overrides(score_forced_rejections=True)
     arm = _simulate_arm(args)
-    stack = build_synthetic_stack(calibration, config)
 
-    lines = []
-    trace_records = []
     accept_sum = time_sum = quality_sum = 0.0
-    for i in range(args.n):
-        prompt = prompt_spec(i)
-        try:
-            policy = arm.build_policy(seed, i)
-        except ValueError as exc:
-            raise CliFailure(EXIT_USAGE, str(exc)) from exc
-        summary = run_video(
-            config,
-            prompt,
-            stack.drafter,
-            stack.target,
-            stack.decoder,
-            stack.scorer,
-            policy,
-            aggregation=arm.aggregation,
-            latency=calibration.latency,
-            quality_fn=calibration.proxy.run_quality,
-        )
-        lines.append(json.dumps(summary_to_dict(summary), sort_keys=True))
+    with ExitStack() as outputs:
+        write_run = (sys.stdout.write if args.out == "-"
+                     else outputs.enter_context(_output("--out", args.out)))
         if args.export_trace:
-            trace_records.extend(records_from_traces(prompt.prompt_id, summary.block_traces))
-        accept_sum += summary.accept_rate_excl_block0
-        time_sum += summary.total_time_s
-        quality_sum += summary.quality_proxy
-    _write_text("--out", args.out, "".join(line + "\n" for line in lines))
+            write_trace = outputs.enter_context(_output("--export-trace", args.export_trace))
+        try:
+            for (result,) in run_prompts([arm], range(args.n), seed, calibration, config):
+                summary = result.summary
+                write_run(json.dumps(summary_to_dict(summary), sort_keys=True) + "\n")
+                if args.export_trace:
+                    records = records_from_traces(summary.prompt_id, summary.block_traces)
+                    write_trace(serialize_records(records))
+                accept_sum += summary.accept_rate_excl_block0
+                time_sum += summary.total_time_s
+                quality_sum += summary.quality_proxy
+        except (ValueError, BlockExecutionError) as exc:
+            # Such as a calibration that overflows the simulated time or breaks a model.
+            raise CliFailure(EXIT_VALIDATION, str(exc)) from exc
     if args.export_trace:
-        with _writing("--export-trace", args.export_trace):
-            write_trace_file(args.export_trace, trace_records)
-        _info(f"exported {len(trace_records)} trace records to {args.export_trace}")
+        # One record per block.
+        _info(f"exported {args.n * config.num_blocks} trace records to {args.export_trace}")
     _info(
         f"{args.n} runs: mean accept {accept_sum / args.n:.3f}, "
         f"mean time {time_sum / args.n:.2f}s, mean quality {quality_sum / args.n:.4f}"
@@ -249,7 +243,7 @@ def cmd_simulate(args) -> int:
 
 
 def _simulate_arm(args) -> ArmSpec:
-    """simulate's policy flags as one ArmSpec.
+    """simulate's policy flags as one arm.
 
     Block 0 is force-rejected by default under threshold only. A random
     policy is the sweep's random arm, so prompt i draws from the stream the
@@ -260,10 +254,18 @@ def _simulate_arm(args) -> ArmSpec:
     if force is None:
         force = args.policy == "threshold"
     if args.policy == "random":
-        return dataclasses.replace(random_arm(args.rate, force), aggregation=aggregation)
-    kind = args.policy.replace("-", "_")
-    return ArmSpec(label=kind, policy_kind=kind, tau=args.tau, force_reject_block0=force,
-                   aggregation=aggregation)
+        try:
+            spec = random_arm(args.rate, force)
+        except ValueError as exc:
+            raise CliFailure(EXIT_USAGE, str(exc)) from exc
+        return ArmSpec(spec.label, Arm(spec.arm.policy, aggregation))
+    if args.policy == "threshold":
+        policy = ThresholdPolicy(tau=args.tau, force_reject_block0=force)
+    elif args.policy == "always-accept":
+        policy = AlwaysAcceptPolicy(force_reject_block0=force)
+    else:
+        policy = AlwaysRejectPolicy(force_reject_block0=force)
+    return ArmSpec(args.policy, Arm(policy, aggregation))
 
 
 def cmd_sweep(args) -> int:
@@ -279,8 +281,8 @@ def cmd_sweep(args) -> int:
     _info(f"sweeping {len(taus)} thresholds x {args.n} prompts (seed {seed})")
     try:
         rows = run_sweep(spec, calibration, config=config, jobs=args.jobs)
-    except ValueError as exc:
-        # Such as a calibration whose latencies give an arm zero simulated time.
+    except (ValueError, BlockExecutionError) as exc:
+        # Such as a calibration that gives an arm zero simulated time or breaks a model.
         raise CliFailure(EXIT_VALIDATION, str(exc)) from exc
     _write_text("--out", args.out, rows_to_csv(rows))
     report = pareto_check(rows)
@@ -300,8 +302,8 @@ def cmd_ablate(args) -> int:
     _info(f"running {len(arms)} ablation arms x {args.n} prompts (seed {seed})")
     try:
         rows = run_arms(arms, args.n, seed, calibration, config=config, jobs=args.jobs)
-    except ValueError as exc:
-        # Such as a calibration whose latencies give an arm zero simulated time.
+    except (ValueError, BlockExecutionError) as exc:
+        # Such as a calibration that gives an arm zero simulated time or breaks a model.
         raise CliFailure(EXIT_VALIDATION, str(exc)) from exc
     _write_text("--out", args.out, rows_to_csv(rows))
     return 0
@@ -328,7 +330,8 @@ def cmd_replay(args) -> int:
             latency=calibration.latency if calibration else None,
             quality_fn=calibration.proxy.run_quality if calibration else None,
         )
-    except TraceFormatError as exc:
+    except ValueError as exc:
+        # A TraceFormatError, or recorded timings whose total overflows.
         raise CliFailure(EXIT_VALIDATION, f"replay: {exc}") from exc
 
     doc = {
@@ -358,14 +361,22 @@ def cmd_replay(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type: an int of at least `minimum`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _finite_float(text: str) -> float:
@@ -386,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, calibration=True):
-        p.add_argument("--seed", type=int, default=None, help="master seed (default 42)")
+        p.add_argument("--seed", type=_int_at_least(0), default=None,
+                       help="master seed, >= 0 (default 42)")
         if calibration:
             p.add_argument(
                 "--calibration",
@@ -399,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit calibration from a measurement table")
     p_fit.add_argument("--table", default=None, help="table JSON (default: bundled)")
     p_fit.add_argument("--out", required=True, help="calibration file to write")
-    p_fit.add_argument("--seed", type=int, default=None)
     p_fit.set_defaults(func=cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="simulate runs under one policy")

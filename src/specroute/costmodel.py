@@ -10,6 +10,7 @@ split between c_draft and c_decode is an attribution convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -191,7 +192,7 @@ def simulate_time(trace: Sequence[BlockTrace], params: LatencyParams | None) -> 
     Each block costs its draft, decode and target times plus its score
     time scaled by params.overlap_factor. params=None means scoring is
     overlapped (factor 0, the OverlapMode default), as when a trace is
-    replayed without calibration.
+    replayed without calibration. A total that overflows is a ValueError.
     """
     if not trace:
         raise ValueError("empty trace")
@@ -202,6 +203,8 @@ def simulate_time(trace: Sequence[BlockTrace], params: LatencyParams | None) -> 
     total = 0.0
     for t in trace:
         total += t.draft_time_s + t.decode_time_s + t.score_time_s * factor + t.target_time_s
+    if not math.isfinite(total):
+        raise ValueError(f"simulated time of {len(trace)} blocks overflows a float")
     return total
 
 
@@ -209,4 +212,7 @@ def speedup(t: float, t_target_only: float) -> float:
     """Wall-clock speedup relative to target-only generation."""
     if t <= 0 or t_target_only <= 0:
         raise ValueError("times must be positive")
-    return t_target_only / t
+    ratio = t_target_only / t
+    if not math.isfinite(ratio):
+        raise ValueError(f"speedup {t_target_only!r} / {t!r} overflows a float")
+    return ratio

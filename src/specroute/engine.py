@@ -65,7 +65,6 @@ __all__ = [
     "RunResult",
     "Arm",
     "run_arms_detailed",
-    "run_video",
     "run_video_detailed",
     "summarize_run",
 ]
@@ -110,10 +109,15 @@ class ScorerInterface(ABC):
 class BlockExecutionError(RuntimeError):
     """A generator, decoder, or scorer failed; carries the failing block."""
 
-    def __init__(self, block_index: int, stage: str, cause: Exception):
+    def __init__(self, block_index: int, stage: str, cause: object):
         super().__init__(f"block {block_index}: {stage} failed: {cause}")
         self.block_index = block_index
         self.stage = stage
+        self.detail = str(cause)
+
+    def __reduce__(self):
+        # Rebuilt from its parts, so a failure in a sweep worker reaches the caller intact.
+        return type(self), (self.block_index, self.stage, self.detail)
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,7 @@ def run_arms_detailed(
     draws would interleave.
     """
     if latency is None:
-        raise ValueError("run_video requires latency params to attribute block timings")
+        raise ValueError("engine runs require latency params to attribute block timings")
     drafting = any(arm.draft_enabled for arm in arms)
     if drafting and drafter is None:
         raise ValueError("draft_enabled runs need a drafter")
@@ -336,21 +340,3 @@ def _emit(lane: _Lane, frames: DecodedFrames, b: int, expected: int) -> None:
         raise BlockExecutionError(b, "decode", error)
     lane.emitted.append(frames)
 
-
-def run_video(
-    config: GenerationConfig,
-    prompt: PromptSpec,
-    drafter: GeneratorInterface | None,
-    target: GeneratorInterface,
-    decoder: DecoderInterface,
-    scorer: ScorerInterface | None,
-    policy: Policy,
-    aggregation: AggregationMode = AggregationMode.MIN_FRAME,
-    latency: LatencyParams | None = None,
-    quality_fn: QualityFn | None = None,
-    draft_enabled: bool = True,
-) -> RunSummary:
-    return run_video_detailed(
-        config, prompt, drafter, target, decoder, scorer, policy,
-        aggregation, latency, quality_fn, draft_enabled,
-    ).summary

@@ -11,7 +11,7 @@ always-accept/always-reject arms for baselines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -22,6 +22,7 @@ from .core import (
     RoutingDecision,
     Verdict,
     keyed_generator,
+    stable_key,
 )
 
 __all__ = [
@@ -84,6 +85,10 @@ class Policy:
     def _decide_unforced(self, block_index: int, q: float | None) -> RoutingDecision:
         raise NotImplementedError
 
+    def for_run(self, *key: object) -> Policy:
+        """The policy one run routes with; a stateless policy serves every run itself."""
+        return self
+
 
 @dataclass(kw_only=True)
 class ThresholdPolicy(Policy):
@@ -105,8 +110,8 @@ class RandomPolicy(Policy):
     """Accept with fixed probability, independent of the score.
 
     Owns its own seeded stream so toggling policies never perturbs
-    generator noise; confine one instance to one run. Forced block-0
-    rejections do not consume a draw.
+    generator noise; confine one instance to one run, as for_run does.
+    Forced block-0 rejections do not consume a draw.
     """
 
     accept_prob: float = 0.5
@@ -117,6 +122,10 @@ class RandomPolicy(Policy):
         if not 0.0 <= self.accept_prob <= 1.0:
             raise ValueError(f"accept_prob must be in [0, 1], got {self.accept_prob}")
         self._rng = keyed_generator("random-policy", self.rng_seed)
+
+    def for_run(self, *key: object) -> RandomPolicy:
+        """A copy drawing from the stream keyed by `key`, so runs never share draws."""
+        return replace(self, rng_seed=stable_key(*key))
 
     def _decide_unforced(self, block_index: int, q: float | None) -> RoutingDecision:
         if self._rng.random() < self.accept_prob:

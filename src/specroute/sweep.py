@@ -15,16 +15,15 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .core import GenerationConfig, PromptSpec, default_config, stable_key
+from .core import GenerationConfig, PromptSpec, default_config
 from .costmodel import speedup
-from .engine import Arm, run_arms_detailed
+from .engine import Arm, RunResult, run_arms_detailed
 from .router import (
     AggregationMode,
     AlwaysAcceptPolicy,
     AlwaysRejectPolicy,
-    Policy,
     RandomPolicy,
     ThresholdPolicy,
 )
@@ -38,6 +37,7 @@ __all__ = [
     "target_only_arm",
     "draft_only_arm",
     "prompt_spec",
+    "run_prompts",
     "SweepSpec",
     "SweepRow",
     "run_arms",
@@ -54,68 +54,45 @@ CSV_HEADER = "label,quality,time_s,speedup,accept_rate"
 
 @dataclass(frozen=True)
 class ArmSpec:
-    """One experiment arm: a policy plus an aggregation mode."""
+    """One experiment arm: the engine Arm it routes with, under a unique label.
+
+    The label names the arm's row and keys each run's policy stream:
+    prompt i routes with arm.policy.for_run(seed, label, i).
+    """
 
     label: str
-    policy_kind: str  # threshold | random | always_accept | always_reject
-    tau: float | None = None
-    rate: float | None = None
-    force_reject_block0: bool = True
-    aggregation: AggregationMode = AggregationMode.MIN_FRAME
-    draft_enabled: bool = True
+    arm: Arm
 
-    def build_policy(self, seed: int, prompt_index: int) -> Policy:
-        if self.policy_kind == "threshold":
-            return ThresholdPolicy(tau=self.tau, force_reject_block0=self.force_reject_block0)
-        if self.policy_kind == "random":
-            # Per-run stream: runs stay independent and job count never
-            # changes results.
-            return RandomPolicy(
-                accept_prob=self.rate,
-                force_reject_block0=self.force_reject_block0,
-                rng_seed=stable_key(seed, self.label, prompt_index),
-            )
-        if self.policy_kind == "always_accept":
-            return AlwaysAcceptPolicy(force_reject_block0=self.force_reject_block0)
-        if self.policy_kind == "always_reject":
-            return AlwaysRejectPolicy(force_reject_block0=self.force_reject_block0)
-        raise ValueError(f"unknown policy kind {self.policy_kind!r}")
+
+def _tau_text(tau: float) -> str:
+    """tau as :g, or as its repr where :g would give two thresholds one label."""
+    text = f"{tau:g}"
+    return text if float(text) == tau else repr(tau)
 
 
 def threshold_arm(tau: float) -> ArmSpec:
-    return ArmSpec(label=f"threshold(tau={tau:g})", policy_kind="threshold", tau=tau)
+    return ArmSpec(f"threshold(tau={_tau_text(tau)})", Arm(ThresholdPolicy(tau=tau)))
 
 
 def mean_frame_arm(tau: float) -> ArmSpec:
     return ArmSpec(
-        label=f"avg_frame(tau={tau:g})",
-        policy_kind="threshold",
-        tau=tau,
-        aggregation=AggregationMode.MEAN_FRAME,
+        f"avg_frame(tau={_tau_text(tau)})",
+        Arm(ThresholdPolicy(tau=tau), AggregationMode.MEAN_FRAME),
     )
 
 
 def random_arm(rate: float, force_reject_block0: bool) -> ArmSpec:
     prefix = "force_reject_random" if force_reject_block0 else "random"
-    return ArmSpec(
-        label=f"{prefix}(rate={rate:g})",
-        policy_kind="random",
-        rate=rate,
-        force_reject_block0=force_reject_block0,
-    )
+    policy = RandomPolicy(accept_prob=rate, force_reject_block0=force_reject_block0)
+    return ArmSpec(f"{prefix}(rate={rate:g})", Arm(policy))
 
 
 def target_only_arm() -> ArmSpec:
-    return ArmSpec(
-        label="target_only",
-        policy_kind="always_reject",
-        force_reject_block0=False,
-        draft_enabled=False,
-    )
+    return ArmSpec("target_only", Arm(AlwaysRejectPolicy(), draft_enabled=False))
 
 
 def draft_only_arm() -> ArmSpec:
-    return ArmSpec(label="draft_only", policy_kind="always_accept", force_reject_block0=False)
+    return ArmSpec("draft_only", Arm(AlwaysAcceptPolicy()))
 
 
 @dataclass(frozen=True)
@@ -152,24 +129,39 @@ def prompt_spec(index: int) -> PromptSpec:
     return PromptSpec(prompt_id=f"p{index:05d}", text=f"synthetic prompt {index}")
 
 
+def run_prompts(
+    arms: Sequence[ArmSpec], indices: Iterable[int], seed: int,
+    calibration: Calibration, config: GenerationConfig,
+) -> Iterator[list[RunResult]]:
+    """Run every arm on the synthetic stack over prompts `indices`, in order.
+
+    Yields each prompt's run_arms_detailed results, one per arm. The config
+    and calibration are seeded with `seed`, and each arm's policy takes its
+    per-run stream, so a prompt's results do not depend on which other
+    prompts run, or in which process.
+    """
+    config = config.with_overrides(seed=seed)
+    calibration = calibration.with_seed(seed)
+    stack = build_synthetic_stack(calibration, config)
+    for i in indices:
+        yield run_arms_detailed(
+            config, prompt_spec(i), stack.drafter, stack.target, stack.decoder, stack.scorer,
+            [spec.arm._replace(policy=spec.arm.policy.for_run(seed, spec.label, i))
+             for spec in arms],
+            calibration.latency, calibration.proxy.run_quality,
+        )
+
+
 def _simulate_chunk(
     arms: Sequence[ArmSpec], calibration: Calibration, config: GenerationConfig,
     indices: Sequence[int], seed: int,
 ) -> list[list[tuple[float, float, float]]]:
     """Run every arm over a chunk of prompts; per prompt, each arm's (quality, time, accept)."""
-    stack = build_synthetic_stack(calibration, config)
-    out = []
-    for i in indices:
-        results = run_arms_detailed(
-            config, prompt_spec(i), stack.drafter, stack.target, stack.decoder, stack.scorer,
-            [Arm(arm.build_policy(seed, i), arm.aggregation, arm.draft_enabled) for arm in arms],
-            calibration.latency, calibration.proxy.run_quality,
-        )
-        out.append([
-            (r.summary.quality_proxy, r.summary.total_time_s, r.summary.accept_rate_excl_block0)
-            for r in results
-        ])
-    return out
+    return [
+        [(r.summary.quality_proxy, r.summary.total_time_s, r.summary.accept_rate_excl_block0)
+         for r in results]
+        for results in run_prompts(arms, indices, seed, calibration, config)
+    ]
 
 
 def run_arms(
@@ -188,8 +180,6 @@ def run_arms(
         raise ValueError("arm list needs a target_only arm to define speedups")
     if config is None:
         config = default_config()
-    config = config.with_overrides(seed=seed)
-    calibration = calibration.with_seed(seed)
 
     workers = min(jobs, os.cpu_count() or 1)
     indices = list(range(num_prompts))
@@ -207,18 +197,22 @@ def run_arms(
         per_prompt = _simulate_chunk(arms, calibration, config, indices, seed)
 
     # Each arm reduces over prompts in prompt order.
-    stats = [
-        [math.fsum(p[k][j] for p in per_prompt) / num_prompts for j in range(3)]
-        for k in range(len(arms))
-    ]
-    for arm, (_, time_s, _) in zip(arms, stats):
+    try:
+        stats = [
+            [math.fsum(p[k][j] for p in per_prompt) / num_prompts for j in range(3)]
+            for k in range(len(arms))
+        ]
+    except OverflowError:
+        raise ValueError("an arm's totals over all prompts overflow a float") from None
+    for spec, (_, time_s, _) in zip(arms, stats):
         if not time_s > 0:
-            raise ValueError(f"arm {arm.label} has zero simulated time, so speedups are undefined")
+            raise ValueError(f"arm {spec.label} has zero simulated time, so speedups are undefined")
     target_time = stats[labels.index("target_only")][1]
+    # A row's tau is its ThresholdPolicy's; no other policy has one.
     return [
-        SweepRow(label=arm.label, tau=arm.tau, quality=quality, time_s=time_s,
-                 speedup=speedup(time_s, target_time), accept_rate=accept)
-        for arm, (quality, time_s, accept) in zip(arms, stats)
+        SweepRow(label=spec.label, tau=getattr(spec.arm.policy, "tau", None), quality=quality,
+                 time_s=time_s, speedup=speedup(time_s, target_time), accept_rate=accept)
+        for spec, (quality, time_s, accept) in zip(arms, stats)
     ]
 
 

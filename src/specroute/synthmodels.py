@@ -723,7 +723,6 @@ def table_to_json_dict(table: ReferenceTable) -> dict:
 
 def fit_calibration(
     table: ReferenceTable,
-    rng_seed: int = 42,
 ) -> tuple[Calibration, LatencyFitReport, QualityFitReport]:
     """Fit all three models from a reference table in dependency order."""
     threshold_rows = table.threshold_rows
@@ -735,7 +734,7 @@ def fit_calibration(
         for r in table.ablation
         if r.method == "avg_frame" and r.tau is not None and r.accept_rate is not None
     ]
-    quantile = fit_quantile(knots, rng_seed=rng_seed)
+    quantile = fit_quantile(knots)
     if mean_rows:
         gap = fit_frame_gap(quantile, mean_rows)
         quantile = DraftQualityModel.from_dict({**quantile.to_dict(), "frame_gap_mean": gap})

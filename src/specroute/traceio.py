@@ -56,7 +56,6 @@ __all__ = [
     "parse_trace_file",
     "serialize_record",
     "serialize_records",
-    "write_trace_file",
     "records_from_traces",
     "ReplayedRun",
     "replay",
@@ -239,10 +238,6 @@ def serialize_record(record: ExternalTraceRecord) -> str:
 
 def serialize_records(records: Sequence[ExternalTraceRecord]) -> str:
     return "".join(serialize_record(r) + "\n" for r in records)
-
-
-def write_trace_file(path: str | Path, records: Sequence[ExternalTraceRecord]) -> None:
-    Path(path).write_text(serialize_records(records), encoding="utf-8")
 
 
 def records_from_traces(

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
+import sys
 import time
+import tracemalloc
 
 import pytest
 
 from specroute.cli import build_parser, main
 from specroute.core import PromptSpec, default_config, summary_to_dict
-from specroute.engine import run_video
+from specroute.engine import run_video_detailed
 from specroute.sweep import random_arm, run_arms, target_only_arm
 from specroute.synthmodels import (
     Calibration,
@@ -19,6 +22,9 @@ from specroute.synthmodels import (
     synthetic_table,
     table_to_json_dict,
 )
+
+
+HUGE_LATENCY = {"c_draft": 1e308, "c_target": 1e308}
 
 
 @pytest.fixture(scope="module")
@@ -218,11 +224,11 @@ class TestSimulate:
         stack = build_synthetic_stack(cal, config)
         arm = random_arm(0.5, False)
         for i, doc in enumerate(outs[1]):
-            summary = run_video(
+            summary = run_video_detailed(
                 config, PromptSpec(f"p{i:05d}"), stack.drafter, stack.target, stack.decoder,
-                stack.scorer, arm.build_policy(42, i), latency=cal.latency,
+                stack.scorer, arm.arm.policy.for_run(42, arm.label, i), latency=cal.latency,
                 quality_fn=cal.proxy.run_quality,
-            )
+            ).summary
             assert doc == summary_to_dict(summary)
 
     @pytest.mark.parametrize("policy", ["threshold", "random", "always-accept", "always-reject"])
@@ -276,6 +282,66 @@ class TestSimulate:
                 "--out", str(tmp_path / "r.jsonl")]
         assert main(args) == 2
         assert main(args + ["--seed", "7"]) == 0
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "ablate"])
+    def test_negative_seed_is_usage_error(self, cal_path, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "-1", "--n", "1", "--calibration", str(cal_path),
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --seed: must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,latency,n",
+        [("simulate", HUGE_LATENCY, 1), ("sweep", HUGE_LATENCY, 1), ("ablate", HUGE_LATENCY, 1),
+         ("sweep", {"c_target": 5e307}, 2)],
+        ids=["simulate", "sweep", "ablate", "sweep-sum-over-prompts"],
+    )
+    def test_overflowing_simulated_time_is_validation_error(
+        self, cal_path, tmp_path, capsys, command, latency, n
+    ):
+        doc = json.loads(cal_path.read_text())
+        doc["latency"].update(latency)
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        args = [command, "--calibration", str(cal), "--n", str(n), "--blocks", "3",
+                "--out", str(out)]
+        if command == "sweep":
+            args += ["--out-json", str(tmp_path / "o.json")]
+        assert main(args) == 4
+        assert "overflow" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+        assert not out.exists() or out.read_text() == ""
+
+    def test_closed_stdout_ends_the_run_quietly(self, cal_path, tmp_path, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["simulate", "--calibration", str(cal_path), "--n", "2",
+                     "--export-trace", str(tmp_path / "t.jsonl")]) == 0
+
+    def test_output_is_streamed(self, cal_path, tmp_path):
+        peaks = {}
+        for n in (20, 320):
+            args = ["simulate", "--calibration", str(cal_path), "--n", str(n),
+                    "--out", str(tmp_path / "runs.jsonl"),
+                    "--export-trace", str(tmp_path / "trace.jsonl")]
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len((tmp_path / "runs.jsonl").read_text().splitlines()) == 320
+        # Holding every record made the peak grow 13x here. CPython's tuple
+        # free lists, which keep up to 2000 freed tuples per length, still
+        # add a bounded 0.3 MB or so as a run warms them.
+        assert peaks[320] < 2 * peaks[20], peaks
 
 
 class TestUnusablePaths:
@@ -377,6 +443,14 @@ class TestSweep:
                      "--tau-list", "-0.7", "-0.7", "--out", str(out)]) == 4
         assert "arm labels must be unique" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_thresholds_equal_to_six_digits_get_distinct_labels(self, cal_path, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--calibration", str(cal_path), "--n", "1", "--blocks", "2",
+                     "--tau-list", "-0.7", "-0.7000001", "--out", str(out)]) == 0
+        labels = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert labels == ["target_only", "threshold(tau=-0.7)", "threshold(tau=-0.7000001)",
+                          "draft_only"]
 
     def test_json_report(self, cal_path, tmp_path):
         out_json = tmp_path / "s.json"
@@ -521,6 +595,16 @@ class TestReplayCommand:
         assert "unknown fields" in err
         assert len(err) < 1024
 
+    def test_overflowing_recorded_time_is_validation_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("SPECROUTE_CALIBRATION", raising=False)
+        record = {"prompt_id": "p", "frame_scores": [0.0], "draft_time_s": 1e308,
+                  "decode_time_s": 0.0, "score_time_s": 0.0, "target_time_s": 1.0}
+        trace, out = tmp_path / "t.jsonl", tmp_path / "r.json"
+        trace.write_text("".join(json.dumps({**record, "block_index": b}) + "\n" for b in (0, 1)))
+        assert main(["replay", "--trace", str(trace), "--tau", "-1", "--out", str(out)]) == 4
+        assert "overflows a float" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gappy_trace_is_validation_error(self, trace_path, tmp_path):
         lines = trace_path.read_text().splitlines()
         gappy = tmp_path / "gappy.jsonl"
@@ -554,7 +638,7 @@ class TestFlags:
         cal, trace = ["--calibration", str(cal_path)], o("trace.jsonl")
         small = ["--n", "1", "--blocks", "2", "--seed", "42"]
         invocations = [
-            ["fit", "--out", o("cal.json"), "--seed", "42"],
+            ["fit", "--out", o("cal.json")],
             ["simulate", *cal, *small, "--out", o("runs.jsonl"), "--export-trace", trace],
             ["simulate", *cal, *small, "--policy", "random", "--out", o("runs.jsonl")],
             ["sweep", *cal, *small, "--tau-list", "-0.7", "--jobs", "1",

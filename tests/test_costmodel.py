@@ -155,6 +155,11 @@ class TestSimulateTime:
         with pytest.raises(ValueError):
             simulate_time([], params)
 
+    def test_overflowing_total_rejected(self):
+        huge = LatencyParams(c_draft=0.0, c_target=1e308, c_decode=0.0)
+        with pytest.raises(ValueError, match="overflows"):
+            simulate_time(target_only_trace(2, huge), huge)
+
     def test_monotone_in_rejections(self, params):
         totals = [
             simulate_time(make_trace(9, set(range(k)), params), params) for k in range(10)
@@ -191,6 +196,10 @@ class TestSpeedup:
             speedup(0.0, 97.0)
         with pytest.raises(ValueError):
             speedup(60.0, -1.0)
+
+    def test_rejects_overflowing_ratio(self):
+        with pytest.raises(ValueError, match="overflows"):
+            speedup(1e-10, 1e300)
 
 
 def test_expected_rejected_blocks():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -22,7 +23,6 @@ from specroute.engine import (
     Arm,
     BlockExecutionError,
     run_arms_detailed,
-    run_video,
     run_video_detailed,
 )
 from specroute.router import (
@@ -248,7 +248,7 @@ class TestErrorHandling:
                 raise RuntimeError("reward model offline")
 
         with pytest.raises(BlockExecutionError) as err:
-            run_video(
+            run_video_detailed(
                 config,
                 PromptSpec("p0"),
                 stack.drafter,
@@ -263,7 +263,7 @@ class TestErrorHandling:
 
     def test_missing_latency_rejected(self, stack, config):
         with pytest.raises(ValueError):
-            run_video(
+            run_video_detailed(
                 config,
                 PromptSpec("p0"),
                 stack.drafter,
@@ -273,6 +273,12 @@ class TestErrorHandling:
                 ThresholdPolicy(),
                 latency=None,
             )
+
+    def test_error_crosses_a_process_boundary_intact(self):
+        # Sweep workers pickle a failure back to the caller.
+        err = pickle.loads(pickle.dumps(BlockExecutionError(3, "drafter", ValueError("boom"))))
+        assert (str(err), err.block_index, err.stage) == ("block 3: drafter failed: boom", 3,
+                                                          "drafter")
 
     def test_quality_defaults_to_nan(self, stack, calibration, config):
         summary = run(stack, calibration, config, ThresholdPolicy()).summary

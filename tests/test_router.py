@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specroute.core import DecisionReason, FrameScoreVector, Verdict
+from specroute.core import DecisionReason, FrameScoreVector, Verdict, stable_key
 from specroute.router import (
     AggregationMode,
     AlwaysAcceptPolicy,
@@ -150,6 +150,21 @@ class TestRandomPolicy:
         policy = RandomPolicy(accept_prob=0.5, rng_seed=5)
         reasons = {policy.decide(i, None).reason for i in range(1, 100)}
         assert reasons == {DecisionReason.RANDOM_ACCEPT, DecisionReason.RANDOM_REJECT}
+
+
+class TestForRun:
+    def test_stateless_policy_serves_every_run(self):
+        policy = ThresholdPolicy(tau=-1.0)
+        assert policy.for_run(42, "arm", 3) is policy
+
+    def test_random_policy_draws_from_the_runs_keyed_stream(self):
+        base = RandomPolicy(accept_prob=0.4, force_reject_block0=True)
+        run = base.for_run(42, "arm", 3)
+        fresh = RandomPolicy(accept_prob=0.4, force_reject_block0=True,
+                             rng_seed=stable_key(42, "arm", 3))
+        assert run == fresh
+        assert [run.decide(b, None) for b in range(30)] == [fresh.decide(b, None) for b in range(30)]
+        assert base.for_run(42, "arm", 4).rng_seed != run.rng_seed
 
 
 class TestFixedPolicies:
