@@ -24,13 +24,7 @@ import os
 import sys
 from contextlib import ExitStack, contextmanager
 
-from .core import (
-    ConfigError,
-    ConfigParseError,
-    GenerationConfig,
-    default_config,
-    summary_to_dict,
-)
+from .core import GenerationConfig, default_config, summary_to_dict
 from .costmodel import LatencyFitError
 from .engine import Arm, BlockExecutionError
 from .router import AggregationMode, AlwaysAcceptPolicy, AlwaysRejectPolicy, ThresholdPolicy
@@ -149,20 +143,6 @@ def _load_calibration(args) -> Calibration:
         raise CliFailure(EXIT_PARSE, f"cannot parse calibration file {path}: {exc}") from exc
 
 
-def _load_config(args) -> GenerationConfig:
-    try:
-        config = GenerationConfig.load(args.config) if args.config else default_config()
-        if getattr(args, "blocks", None) is not None:
-            config = config.with_overrides(num_blocks=args.blocks)
-        return config
-    except OSError as exc:
-        raise _unreadable("config file", args.config, exc) from None
-    except ConfigParseError as exc:
-        raise CliFailure(EXIT_PARSE, f"bad config: {exc}") from exc
-    except ConfigError as exc:
-        raise CliFailure(EXIT_VALIDATION, f"invalid config: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -206,11 +186,11 @@ def cmd_fit(args) -> int:
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     calibration = _load_calibration(args)
-    config = _load_config(args)
-    if args.export_trace:
-        # Exported records need per-frame scores on every block, including
-        # force-rejected ones.
-        config = config.with_overrides(score_forced_rejections=True)
+    # Exported records need per-frame scores on every block, including
+    # force-rejected ones.
+    config = GenerationConfig(
+        num_blocks=args.blocks, seed=seed, score_forced_rejections=bool(args.export_trace)
+    )
     arm = _simulate_arm(args)
 
     accept_sum = time_sum = quality_sum = 0.0
@@ -232,6 +212,8 @@ def cmd_simulate(args) -> int:
         except (ValueError, BlockExecutionError) as exc:
             # Such as a calibration that overflows the simulated time or breaks a model.
             raise CliFailure(EXIT_VALIDATION, str(exc)) from exc
+    if not math.isfinite(time_sum):
+        raise CliFailure(EXIT_VALIDATION, "the simulated time over all prompts overflows a float")
     if args.export_trace:
         # One record per block.
         _info(f"exported {args.n * config.num_blocks} trace records to {args.export_trace}")
@@ -271,7 +253,7 @@ def _simulate_arm(args) -> ArmSpec:
 def cmd_sweep(args) -> int:
     seed = _resolve_seed(args)
     calibration = _load_calibration(args)
-    config = _load_config(args)
+    config = GenerationConfig(num_blocks=args.blocks, seed=seed)
     taus = tuple(args.tau_list) if args.tau_list else DEFAULT_SWEEP_TAUS
     try:
         spec = SweepSpec(thresholds=taus, num_prompts=args.n, seed=seed)
@@ -297,7 +279,7 @@ def cmd_sweep(args) -> int:
 def cmd_ablate(args) -> int:
     seed = _resolve_seed(args)
     calibration = _load_calibration(args)
-    config = _load_config(args)
+    config = GenerationConfig(num_blocks=args.blocks, seed=seed)
     arms = [target_only_arm()] + ablation_arms() + [draft_only_arm()]
     _info(f"running {len(arms)} ablation arms x {args.n} prompts (seed {seed})")
     try:
@@ -396,17 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, calibration=True):
+    def add_common(p):
         p.add_argument("--seed", type=_int_at_least(0), default=None,
                        help="master seed, >= 0 (default 42)")
-        if calibration:
-            p.add_argument(
-                "--calibration",
-                default=None,
-                help=f"calibration file (default ${CALIBRATION_ENV})",
-            )
-        p.add_argument("--config", default=None, help="generation config file")
-        p.add_argument("--blocks", type=_positive_int, default=None, help="override num_blocks")
+        p.add_argument("--calibration", default=None,
+                       help=f"calibration file (default ${CALIBRATION_ENV})")
+        p.add_argument("--blocks", type=_positive_int, default=default_config().num_blocks,
+                       help="blocks per video (default %(default)s)")
 
     p_fit = sub.add_parser("fit", help="fit calibration from a measurement table")
     p_fit.add_argument("--table", default=None, help="table JSON (default: bundled)")

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-import reprlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from pathlib import Path
+
 import numpy as np
 
 __all__ = [
     "ConfigError",
-    "ConfigParseError",
     "Producer",
     "Verdict",
     "DecisionReason",
@@ -43,10 +41,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """A configuration value violates a protocol invariant."""
-
-
-class ConfigParseError(ConfigError):
-    """A malformed config file: a bad line, a missing or unknown key, or an unparsable value."""
 
 
 class Producer(str, Enum):
@@ -97,24 +91,27 @@ LATENT_CHANNELS = 4
 LATENT_HEIGHT = 8
 LATENT_WIDTH = 8
 
+# The reference protocol's block layout: every block holds 3 latent frames,
+# which decode to 9 pixel frames for block 0 and 12 for later blocks.
+LATENT_FRAMES_PER_BLOCK = 3
+PIXEL_FRAMES_FIRST_BLOCK = 9
+PIXEL_FRAMES_LATER_BLOCK = 12
+
 
 @dataclass(frozen=True)
 class GenerationConfig:
-    """Protocol constants for one video generation run.
+    """Per-run settings for one video generation run.
 
-    The default instance is the reference protocol's block layout: 9
-    blocks of 3 latent frames each, decoding to 9 pixel frames for block 0
-    and 12 for later blocks, seed 42. The routing threshold is not part of
-    the config: it comes only from the --tau and --tau-list flags.
+    The default instance is the reference protocol: 9 blocks, seed 42. The
+    block layout is fixed (see LATENT_FRAMES_PER_BLOCK and the pixel frame
+    counts beside it). The routing threshold is not part of the config: it
+    comes only from the --tau and --tau-list flags.
     """
 
     # The paper's reference protocol also fixes 4 denoising steps per block
     # at 832x480 (PAPER.md). The synthetic stack does not simulate denoising
     # or pixel resolution, so neither is a setting here.
     num_blocks: int = 9
-    latent_frames_per_block: int = 3
-    pixel_frames_first_block: int = 9
-    pixel_frames_later_block: int = 12
     seed: int = 42
     # Forced rejections (block 0 under the default policy) skip scoring and
     # leave the block's aggregate score absent; set True to score anyway for
@@ -124,82 +121,11 @@ class GenerationConfig:
     def __post_init__(self) -> None:
         if self.num_blocks < 1:
             raise ConfigError(f"num_blocks must be >= 1, got {self.num_blocks}")
-        for name in ("latent_frames_per_block", "pixel_frames_first_block", "pixel_frames_later_block"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be unsigned")
 
     def with_overrides(self, **kwargs) -> GenerationConfig:
         return replace(self, **kwargs)
-
-    # -- key/value serialization (round-trips bit-exactly) ------------------
-
-    def to_text(self) -> str:
-        lines = ["# specroute generation config"]
-        lines.append(f"num_blocks = {self.num_blocks}")
-        lines.append(f"latent_frames_per_block = {self.latent_frames_per_block}")
-        lines.append(f"pixel_frames_first_block = {self.pixel_frames_first_block}")
-        lines.append(f"pixel_frames_later_block = {self.pixel_frames_later_block}")
-        lines.append(f"seed = {self.seed}")
-        lines.append(f"score_forced_rejections = {str(self.score_forced_rejections).lower()}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> GenerationConfig:
-        """Parse to_text's format; syntax errors raise ConfigParseError, invariants ConfigError."""
-        values: dict[str, str] = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigParseError(f"malformed config line: {reprlib.repr(raw)}")
-            key, _, val = line.partition("=")
-            if key.strip() not in _CONFIG_PARSERS:
-                raise ConfigParseError(f"unknown config key {reprlib.repr(key.strip())}")
-            values[key.strip()] = val.strip()
-        fields = {}
-        for key, parse in _CONFIG_PARSERS.items():
-            if key not in values:
-                if key == "score_forced_rejections":  # optional, default false
-                    continue
-                raise ConfigParseError(f"config file missing field {key!r}")
-            try:
-                fields[key] = parse(values[key])
-            except ValueError:
-                raise ConfigParseError(
-                    f"config field {key} has a malformed value: {reprlib.repr(values[key])}"
-                ) from None
-        return cls(**fields)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_text())
-
-    @classmethod
-    def load(cls, path: str | Path) -> GenerationConfig:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigParseError(f"config file is not valid UTF-8: {exc}") from None
-        return cls.from_text(text)
-
-
-def _parse_bool(text: str) -> bool:
-    if text not in ("true", "false"):
-        raise ValueError(text)
-    return text == "true"
-
-
-# One parser per to_text key; a parser raises ValueError on malformed text.
-_CONFIG_PARSERS = {
-    "num_blocks": int,
-    "latent_frames_per_block": int,
-    "pixel_frames_first_block": int,
-    "pixel_frames_later_block": int,
-    "seed": int,
-    "score_forced_rejections": _parse_bool,
-}
 
 
 def default_config() -> GenerationConfig:
@@ -214,8 +140,8 @@ def pixel_frame_count(config: GenerationConfig, block_index: int) -> int:
             f"block_index {block_index} out of range [0, {config.num_blocks})"
         )
     if block_index == 0:
-        return config.pixel_frames_first_block
-    return config.pixel_frames_later_block
+        return PIXEL_FRAMES_FIRST_BLOCK
+    return PIXEL_FRAMES_LATER_BLOCK
 
 
 # ---------------------------------------------------------------------------

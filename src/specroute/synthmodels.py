@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import reprlib
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -41,8 +42,11 @@ from .core import (
     FrameScoreVector,
     GenerationConfig,
     LATENT_CHANNELS,
+    LATENT_FRAMES_PER_BLOCK,
     LATENT_HEIGHT,
     LATENT_WIDTH,
+    PIXEL_FRAMES_FIRST_BLOCK,
+    PIXEL_FRAMES_LATER_BLOCK,
     LatentBlock,
     Producer,
     PromptSpec,
@@ -545,6 +549,8 @@ def load_reference_table(path: str | Path | None = None) -> ReferenceTable:
         raise CalibrationError(f"reference table is not valid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CalibrationError(f"reference table is not valid JSON: {exc}") from exc
+    except ValueError:
+        raise _digit_limit_error("reference table") from None
     except RecursionError:
         raise CalibrationError("reference table is nested too deeply") from None
     try:
@@ -599,6 +605,8 @@ class Calibration:
                     )
         except json.JSONDecodeError as exc:
             raise CalibrationError(f"calibration file is not valid JSON: {exc}") from exc
+        except ValueError:
+            raise _digit_limit_error("calibration file") from None
         except RecursionError:
             raise CalibrationError("calibration file is nested too deeply") from None
         try:
@@ -632,6 +640,14 @@ class Calibration:
 # well-formed file fits, and a path built from a huge key is cut short.
 _KEY_PATH = reprlib.Repr()
 _KEY_PATH.maxstring = 80
+
+
+def _digit_limit_error(what: str) -> CalibrationError:
+    """The error for json.loads's one ValueError that is not a JSONDecodeError."""
+    return CalibrationError(
+        f"{what} is not valid JSON: an integer literal has more than "
+        f"{sys.get_int_max_str_digits()} digits"
+    )
 
 
 def _non_numbers(value, path: str):
@@ -758,6 +774,7 @@ def fit_calibration(
 # ---------------------------------------------------------------------------
 
 FRAME_SHAPE = (8, 8)
+LATENT_SHAPE = (LATENT_FRAMES_PER_BLOCK, LATENT_CHANNELS, LATENT_HEIGHT, LATENT_WIDTH)
 CARRY_LEN = LATENT_CHANNELS
 TARGET_FRAME_SCORE = 3.0
 
@@ -809,11 +826,7 @@ class SyntheticDecoder(DecoderInterface):
         self.config = config
 
     def fresh_state(self) -> SynthDecodeState:
-        geometry = (
-            self.config.pixel_frames_first_block,
-            self.config.pixel_frames_later_block,
-            *FRAME_SHAPE,
-        )
+        geometry = (PIXEL_FRAMES_FIRST_BLOCK, PIXEL_FRAMES_LATER_BLOCK, *FRAME_SHAPE)
         return SynthDecodeState(
             carry=np.zeros(CARRY_LEN), blocks_decoded=0, geometry=geometry
         )
@@ -854,9 +867,7 @@ class SyntheticDrafter(GeneratorInterface):
         num = pixel_frame_count(self.config, block_index)
         scores = self.quality.sample_block_score(prompt.prompt_id, block_index, num)
         rng = keyed_generator("draft-noise", noise_seed, kv.tip_digest())
-        data = rng.standard_normal(
-            (self.config.latent_frames_per_block, LATENT_CHANNELS, LATENT_HEIGHT, LATENT_WIDTH)
-        )
+        data = rng.standard_normal(LATENT_SHAPE)
         data.reshape(-1)[:num] = scores.scores
         return LatentBlock(block_index, data, Producer.DRAFT, noise_seed)
 
@@ -872,9 +883,7 @@ class SyntheticTarget(GeneratorInterface):
     ) -> LatentBlock:
         num = pixel_frame_count(self.config, block_index)
         rng = keyed_generator("target-noise", noise_seed, kv.tip_digest())
-        data = rng.standard_normal(
-            (self.config.latent_frames_per_block, LATENT_CHANNELS, LATENT_HEIGHT, LATENT_WIDTH)
-        )
+        data = rng.standard_normal(LATENT_SHAPE)
         data.reshape(-1)[:num] = TARGET_FRAME_SCORE
         return LatentBlock(block_index, data, Producer.TARGET, noise_seed)
 

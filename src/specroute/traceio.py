@@ -27,6 +27,7 @@ memory grows with the size of the trace.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import reprlib
@@ -193,7 +194,8 @@ def parse_trace(lines: Iterable[str]) -> list[ExternalTraceRecord]:
 
 
 def parse_trace_text(text: str) -> list[ExternalTraceRecord]:
-    return parse_trace(text.splitlines())
+    """Parse trace text, split into lines only where a file read in text mode splits it."""
+    return parse_trace(io.StringIO(text, newline=None))
 
 
 def parse_trace_file(path: str | Path) -> list[ExternalTraceRecord]:

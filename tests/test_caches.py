@@ -21,7 +21,6 @@ from specroute.caches import (
     decode_snapshot,
 )
 from specroute.core import (
-    GenerationConfig,
     LatentBlock,
     Producer,
     PromptSpec,
@@ -30,7 +29,7 @@ from specroute.core import (
 )
 from specroute.engine import run_video_detailed
 from specroute.router import AlwaysRejectPolicy, ThresholdPolicy
-from specroute.synthmodels import SyntheticDecoder, build_synthetic_stack
+from specroute.synthmodels import SynthDecodeState, SyntheticDecoder, build_synthetic_stack
 
 
 def make_block(index: int, producer: Producer = Producer.DRAFT, fill: float = 0.0) -> LatentBlock:
@@ -232,8 +231,8 @@ class TestSnapshotRestore:
 
     def test_incompatible_snapshot_rejected(self):
         _, state = self.fresh()
-        other_decoder = SyntheticDecoder(GenerationConfig(pixel_frames_later_block=7))
-        foreign = decode_snapshot(other_decoder.fresh_state(), 0)
+        other_geometry = (9, 7, 8, 8)
+        foreign = decode_snapshot(SynthDecodeState(np.zeros(4), 0, other_geometry), 0)
         with pytest.raises(SnapshotMismatchError):
             decode_restore(state, foreign)
 

@@ -68,9 +68,10 @@ class TestFit:
         [b"\xff\xfe{}", b'{"main": 5}', b'{"main": [1]}',
          b'{"main": [{"method": "target_only", "vr": "abc"}]}',
          b'{"main": [{"method": "target_only", "vr": ' + b"[" * 990 + b"]" * 990 + b"}]}",
-         b'{"main": [{"method": "target_only", "' + b"k" * 100_000 + b'": "abc"}]}'],
+         b'{"main": [{"method": "target_only", "' + b"k" * 100_000 + b'": "abc"}]}',
+         b'{"main": [{"method": "target_only", "vr": ' + b"9" * 5000 + b"}]}"],
         ids=["invalid_utf8", "main_not_an_array", "row_not_an_object", "value_not_a_number",
-             "nested_too_deeply", "long_key"],
+             "nested_too_deeply", "long_key", "integer_over_the_digit_limit"],
     )
     def test_malformed_table_is_a_parse_error(self, tmp_path, capsys, content):
         bad = tmp_path / "table.json"
@@ -168,29 +169,25 @@ class TestSimulate:
         bad.write_text('{"latency": ' + "[" * depth + "]" * depth + "}")
         assert main(["simulate", "--calibration", str(bad), "--out", str(tmp_path / "o")]) == 3
 
-    @pytest.mark.parametrize(
-        "line,code,named",
-        [("num_blocks = abc", 3, "num_blocks"), ("num_blokcs = 9", 3, "num_blokcs"),
-         ("num_blocks = 0", 4, "num_blocks"), ("threshold = -0.7", 3, "threshold"),
-         ("k" * 100_000 + " = 9", 3, "unknown config key"),
-         ("num_blocks = " + "9" * 100_000 + "x", 3, "num_blocks"),
-         ("k" * 100_000, 3, "malformed config line")],
-        ids=["not_a_number", "unknown_key", "breaks_invariant", "removed_key", "long_key",
-             "long_value", "long_line"],
-    )
-    def test_bad_config_file(self, cal_path, tmp_path, capsys, line, code, named):
-        text = default_config().to_text()
-        assert "num_blocks = 9\n" in text
-        bad = tmp_path / "run.cfg"
-        bad.write_text(text.replace("num_blocks = 9\n", line + "\n"))
-        args = ["simulate", "--calibration", str(cal_path), "--config", str(bad),
-                "--out", str(tmp_path / "o")]
-        assert main(args) == code
+    @pytest.mark.parametrize("command", ["sweep", "replay"])
+    def test_integer_over_the_digit_limit_in_calibration_is_parse_error(
+        self, cal_path, tmp_path, capsys, command
+    ):
+        # json.dumps refuses such an int, so the literal goes in as text.
+        doc = json.loads(cal_path.read_text())
+        doc["latency"]["c_draft"] = "HUGE"
+        bad = tmp_path / "cal.json"
+        bad.write_text(json.dumps(doc).replace('"HUGE"', "9" * 5000))
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text('{"prompt_id":"p0","block_index":0,"frame_scores":[0.5]}\n')
+        args = {"sweep": ["sweep", "--n", "1"], "replay": ["replay", "--trace", str(trace),
+                                                         "--tau", "-0.7"]}[command]
+        assert main(args + ["--calibration", str(bad), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
-        assert named in err
+        assert "digits" in err and "Traceback" not in err
         assert len(err) < 1024
 
-    @pytest.mark.parametrize("flag", ["--calibration", "--config"])
+    @pytest.mark.parametrize("flag", ["--calibration"])
     def test_invalid_utf8_input_file_is_parse_error(self, cal_path, tmp_path, flag):
         bad = tmp_path / "bad"
         bad.write_bytes(b"\xff\xfe not text\n")
@@ -316,6 +313,24 @@ class TestSimulate:
         assert not (tmp_path / "o.json").exists()
         assert not out.exists() or out.read_text() == ""
 
+    def test_simulated_time_summed_over_prompts_overflowing_is_validation_error(
+        self, cal_path, tmp_path, capsys
+    ):
+        doc = json.loads(cal_path.read_text())
+        doc["latency"]["c_target"] = 5e307
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps(doc))
+        out = tmp_path / "runs.jsonl"
+        args = ["simulate", "--calibration", str(cal), "--n", "3", "--blocks", "3",
+                "--out", str(out)]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert "overflow" in err and "inf" not in err
+        assert len(err) < 1024
+        # Each prompt's own total is finite, so its record was written.
+        assert all(math.isfinite(json.loads(line)["total_time_s"])
+                   for line in out.read_text().splitlines())
+
     def test_closed_stdout_ends_the_run_quietly(self, cal_path, tmp_path, monkeypatch):
         class ClosedPipe(io.StringIO):
             def write(self, text):
@@ -349,8 +364,7 @@ class TestUnusablePaths:
 
     @pytest.mark.parametrize(
         "command,flag",
-        [("simulate", "--calibration"), ("simulate", "--config"), ("fit", "--table"),
-         ("replay", "--trace")],
+        [("simulate", "--calibration"), ("fit", "--table"), ("replay", "--trace")],
     )
     def test_input_path_that_is_a_directory(self, cal_path, tmp_path, capsys, command, flag):
         args = {
@@ -631,6 +645,14 @@ class _ReadRecorder(argparse.Namespace):
 
 
 class TestFlags:
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "ablate"])
+    def test_config_flag_is_gone(self, cal_path, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--calibration", str(cal_path), "--config", "run.cfg", "--n", "1",
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config run.cfg" in capsys.readouterr().err
+
     def test_every_flag_is_read(self, cal_path, tmp_path):
         def o(name):
             return str(tmp_path / name)

@@ -2,14 +2,13 @@
 
 Every subcommand runs in-process on drawn argv tokens (real flags and
 values, garbage, nan, inf, negative and huge numbers) and on drawn
-contents of its config, calibration, table and trace files. The property:
+contents of its calibration, table and trace files. The property:
 no exception escapes main(), the exit code is documented (1, the Pareto
 verdict, only from sweep), stderr stays within 4 KB and a successful run
 writes no Infinity or NaN.
 
 A run's cost grows linearly with --n and --blocks by design, so both are
-drawn from {1, 2, 3} only; frame counts in a drawn config stay small for
-the same reason. The sweep's process pool is replaced by an inline
+drawn from {1, 2, 3} only. The sweep's process pool is replaced by an inline
 executor, so no process starts.
 """
 
@@ -31,7 +30,6 @@ from hypothesis import strategies as st
 
 from specroute import sweep
 from specroute.cli import main
-from specroute.core import default_config
 
 MAX_STDERR = 4096
 SMALL_COUNTS = ["1", "2", "3"]
@@ -41,11 +39,8 @@ GARBAGE = ["", "x", "é", "--", "0x10", "1_0", "\x00", "true"]
 # JSON values a calibration, table or trace leaf is replaced with.
 JSON_VALUES = [-1, 0, 1, 0.5, -0.7, 1e308, 5e307, -1e308, 1e-308, float("nan"), float("inf"),
                10**30, 2**64, "x", "", None, True, [], {}, [0.0]]
-# Config values: no large counts, since frame counts size every allocation.
-CONFIG_VALUES = ["0", "1", "-1", "2", "3", "1.5", "nan", "x", "", "true", "false", "1e3",
-                 "-99999999999999999999"]
 
-INPUTS = ["@cal", "@config", "@table", "@trace", "@valid_cal", "@missing", "@dir", ""]
+INPUTS = ["@cal", "@table", "@trace", "@valid_cal", "@missing", "@dir", ""]
 OUTPUTS = ["@out", "-", "@dir", "@missing_parent/o", ""]
 VALUE_POOLS = {
     "--n": SMALL_COUNTS + ["0", "-1", "nan", "x", "", "1.5", "-99999999999999999999"],
@@ -56,12 +51,12 @@ VALUE_POOLS = {
 }
 FLAGS = {
     "fit": ["--table", "--out"],
-    "simulate": ["--seed", "--calibration", "--config", "--blocks", "--policy", "--tau", "--rate",
+    "simulate": ["--seed", "--calibration", "--blocks", "--policy", "--tau", "--rate",
                  "--force-reject-first", "--no-force-reject-first", "--aggregation", "--n",
                  "--out", "--export-trace"],
-    "sweep": ["--seed", "--calibration", "--config", "--blocks", "--tau-list", "--n", "--jobs",
+    "sweep": ["--seed", "--calibration", "--blocks", "--tau-list", "--n", "--jobs",
               "--out", "--out-json"],
-    "ablate": ["--seed", "--calibration", "--config", "--blocks", "--n", "--jobs", "--out"],
+    "ablate": ["--seed", "--calibration", "--blocks", "--n", "--jobs", "--out"],
     "replay": ["--trace", "--tau", "--aggregation", "--no-force-reject-first", "--calibration",
                "--out"],
 }
@@ -71,7 +66,7 @@ SWITCHES = {"--force-reject-first", "--no-force-reject-first"}
 def _values(flag: str):
     if flag in VALUE_POOLS:
         return st.sampled_from(VALUE_POOLS[flag])
-    if flag in ("--table", "--calibration", "--config", "--trace"):
+    if flag in ("--table", "--calibration", "--trace"):
         return st.sampled_from(INPUTS)
     if flag in ("--out", "--out-json", "--export-trace"):
         return st.sampled_from(OUTPUTS)
@@ -102,8 +97,8 @@ def _base(command: str):
     if command == "replay":
         return _values("--tau").map(lambda tau: ["replay", "--trace", "@trace", "--tau", tau])
     return st.tuples(st.sampled_from(SMALL_COUNTS), st.sampled_from(SMALL_COUNTS)).map(
-        lambda nb: [command, "--calibration", "@cal", "--config", "@config",
-                    "--n", nb[0], "--blocks", nb[1], "--out", "@out"]
+        lambda nb: [command, "--calibration", "@cal", "--n", nb[0], "--blocks", nb[1],
+                    "--out", "@out"]
     )
 
 
@@ -118,20 +113,22 @@ argvs = st.sampled_from(sorted(FLAGS)).flatmap(_argv)
 
 # A file's content: None keeps the valid file, bytes replace it, and a list
 # of (selector, value) pairs edits the valid one. An int selector picks a
-# leaf (a config line) by index, modulo their number; a tuple is a key path.
+# leaf by index, modulo their number; a tuple is a key path.
 edits = st.lists(
     st.tuples(st.integers(0, 10**6), st.sampled_from(JSON_VALUES) | st.sampled_from(["DELETE"])),
     min_size=1, max_size=3,
 )
-config_edits = st.lists(
-    st.tuples(st.integers(0, 10**6), st.sampled_from(CONFIG_VALUES)), min_size=1, max_size=3
+# HUGE_INTEGER is the one raw content JSON_VALUES cannot give: json.dumps
+# refuses an int over the digit limit, and json.loads raises a plain
+# ValueError for one.
+HUGE_INTEGER = b"9" * 5000
+raw = st.binary(max_size=64) | st.sampled_from(
+    [b"", b"{}", b"[]", b"null", b"\xff\xfe", b"{\"a\":", HUGE_INTEGER]
 )
-raw = st.binary(max_size=64) | st.sampled_from([b"", b"{}", b"[]", b"null", b"\xff\xfe", b"{\"a\":"])
 contents = st.fixed_dictionaries({
     "cal": st.none() | edits | raw,
     "table": st.none() | edits | raw,
     "trace": st.none() | edits | raw,
-    "config": st.none() | config_edits | raw,
 })
 
 
@@ -177,15 +174,6 @@ def _edit_json(doc, changes):
     return doc
 
 
-def _edit_config(text: str, changes) -> str:
-    lines = text.splitlines()
-    for selector, value in changes:
-        i = selector % len(lines)
-        key = lines[i].split("=")[0].strip() or "num_blocks"
-        lines[i] = f"{key} = {value}"
-    return "\n".join(lines) + "\n"
-
-
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """Valid inputs for every subcommand; runs happen with this as the working directory."""
@@ -196,7 +184,6 @@ def workdir(tmp_path_factory):
         assert main(["simulate", "--calibration", str(root / "valid_cal"), "--n", "2",
                      "--blocks", "3", "--out", str(root / "runs"),
                      "--export-trace", str(root / "valid_trace")]) == 0
-    default_config().save(root / "valid_config")
     table = resources.files("specroute.data").joinpath("reference_table.json").read_text()
     (root / "valid_table").write_text(table)
     cwd = os.getcwd()
@@ -212,8 +199,6 @@ def _write_inputs(root: Path, files: dict) -> None:
             text = valid.encode()
         elif isinstance(content, bytes):
             text = content
-        elif kind == "config":
-            text = _edit_config(valid, content).encode()
         elif kind == "trace":
             records = _edit_json([json.loads(line) for line in valid.splitlines()], content)
             text = "".join(json.dumps(r) + "\n" for r in records).encode()
@@ -234,7 +219,7 @@ OVERFLOW_TRACE = "".join(
     for b in range(2)
 ).encode()
 HUGE_LATENCY = [(("latency", "c_draft"), 1e308), (("latency", "c_target"), 1e308)]
-NO_EDITS = {"cal": None, "table": None, "trace": None, "config": None}
+NO_EDITS = {"cal": None, "table": None, "trace": None}
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -252,6 +237,8 @@ NO_EDITS = {"cal": None, "table": None, "trace": None, "config": None}
          files=NO_EDITS, ci=False)
 @example(argv=["ablate", "--calibration", "@cal", "--n", "1", "--blocks", "1", "--out", "@out"],
          files={**NO_EDITS, "cal": [(("draft_quality", "frame_gap_mean"), 1e308)]}, ci=False)
+@example(argv=["fit", "--table", "@table", "--out", "@out"],
+         files={**NO_EDITS, "table": HUGE_INTEGER}, ci=False)
 def test_cli_never_crashes(workdir, argv, files, ci):
     _write_inputs(workdir, files)
     outputs = [workdir / "out", workdir / "out_json"]

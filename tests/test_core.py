@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from specroute.core import (
+    LATENT_FRAMES_PER_BLOCK,
+    PIXEL_FRAMES_FIRST_BLOCK,
+    PIXEL_FRAMES_LATER_BLOCK,
     ConfigError,
-    ConfigParseError,
     DecisionReason,
     FrameScoreVector,
     GenerationConfig,
@@ -29,9 +31,9 @@ class TestDefaultConfig:
     def test_matches_reference_protocol(self):
         cfg = default_config()
         assert cfg.num_blocks == 9
-        assert cfg.latent_frames_per_block == 3
-        assert cfg.pixel_frames_first_block == 9
-        assert cfg.pixel_frames_later_block == 12
+        assert LATENT_FRAMES_PER_BLOCK == 3
+        assert PIXEL_FRAMES_FIRST_BLOCK == 9
+        assert PIXEL_FRAMES_LATER_BLOCK == 12
 
     def test_default_threshold(self):
         # tau is a policy setting, never a config field.
@@ -56,42 +58,6 @@ class TestConfigValidation:
 
     def test_single_block_config_is_valid(self):
         assert GenerationConfig(num_blocks=1).num_blocks == 1
-
-
-class TestConfigSerialization:
-    def test_round_trip_default(self):
-        cfg = default_config()
-        assert GenerationConfig.from_text(cfg.to_text()) == cfg
-
-    def test_file_round_trip(self, tmp_path):
-        cfg = default_config().with_overrides(num_blocks=3, seed=7)
-        path = tmp_path / "run.cfg"
-        cfg.save(path)
-        assert GenerationConfig.load(path) == cfg
-
-    def test_missing_field_is_named(self):
-        text = default_config().to_text().replace("seed = 42\n", "")
-        with pytest.raises(ConfigError, match="seed"):
-            GenerationConfig.from_text(text)
-
-    @pytest.mark.parametrize(
-        "old,new,named",
-        [("seed = 42", "seed = 4x2", "seed"), ("seed = 42", "sede = 42", "sede"),
-         ("score_forced_rejections = false", "score_forced_rejections = yes",
-          "score_forced_rejections")],
-        ids=["not_a_number", "unknown_key", "not_a_boolean"],
-    )
-    def test_malformed_values_are_parse_errors(self, old, new, named):
-        text = default_config().to_text()
-        assert old in text
-        with pytest.raises(ConfigParseError, match=named):
-            GenerationConfig.from_text(text.replace(old, new))
-
-    def test_invariant_violation_is_not_a_parse_error(self):
-        text = default_config().to_text().replace("num_blocks = 9", "num_blocks = 0")
-        with pytest.raises(ConfigError) as exc:
-            GenerationConfig.from_text(text)
-        assert not isinstance(exc.value, ConfigParseError)
 
 
 class TestPixelFrameCount:

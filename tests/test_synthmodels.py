@@ -8,7 +8,6 @@ from specroute.core import (
     BlockTrace,
     DecisionReason,
     FrameScoreVector,
-    GenerationConfig,
     Producer,
     PromptSpec,
     RoutingDecision,
@@ -21,6 +20,7 @@ from specroute.synthmodels import (
     CalibrationError,
     DraftQualityModel,
     QualityProxyModel,
+    SynthDecodeState,
     SyntheticDecoder,
     SyntheticDrafter,
     SyntheticTarget,
@@ -382,7 +382,7 @@ class TestSyntheticComponents:
 
     def test_mismatched_decoder_state_rejected(self, parts):
         config, _, _, decoder = parts
-        small = SyntheticDecoder(GenerationConfig(pixel_frames_first_block=4))
-        snap = decode_snapshot(small.fresh_state(), 0)
+        small = SynthDecodeState(np.zeros(4), 0, (4, 12, 8, 8))
+        snap = decode_snapshot(small, 0)
         with pytest.raises(SnapshotMismatchError):
             decode_restore(decoder.fresh_state(), snap)

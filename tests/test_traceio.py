@@ -131,6 +131,21 @@ class TestParse:
             parse_trace_text(bad + "\n")
         assert len(str(exc.value)) < 200
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_text_splits_into_the_lines_a_file_read_gives(self, tmp_path, newline):
+        # str.splitlines would also split at the raw U+2028, U+0085 and U+2029.
+        lines = [
+            json.dumps({"prompt_id": "p\u2028\x85\u2029", "block_index": b, "frame_scores": [0.5]},
+                       ensure_ascii=False)
+            for b in range(3)
+        ]
+        text = newline.join(lines) + newline
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(text.encode())
+        records = parse_trace_file(path)
+        assert [r.block_index for r in records] == [0, 1, 2]
+        assert parse_trace_text(text) == records
+
     def test_deep_nesting_names_line(self):
         with pytest.raises(TraceFormatError, match="line 1: invalid JSON"):
             parse_trace_text("[" * 100_000 + "\n")
