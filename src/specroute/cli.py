@@ -24,7 +24,7 @@ import os
 import sys
 from contextlib import ExitStack, contextmanager
 
-from .core import GenerationConfig, default_config, summary_to_dict
+from .core import GenerationConfig, summary_to_dict
 from .costmodel import LatencyFitError
 from .engine import Arm, BlockExecutionError
 from .router import AggregationMode, AlwaysAcceptPolicy, AlwaysRejectPolicy, ThresholdPolicy
@@ -121,7 +121,7 @@ def _resolve_seed(args) -> int:
     if args.seed is None:
         if os.environ.get(CI_ENV):
             raise CliFailure(EXIT_USAGE, "--seed is mandatory when SPECROUTE_CI is set")
-        return 42
+        return GenerationConfig.seed
     return args.seed
 
 
@@ -200,7 +200,7 @@ def cmd_simulate(args) -> int:
         if args.export_trace:
             write_trace = outputs.enter_context(_output("--export-trace", args.export_trace))
         try:
-            for (result,) in run_prompts([arm], range(args.n), seed, calibration, config):
+            for (result,) in run_prompts([arm], range(args.n), calibration, config):
                 summary = result.summary
                 write_run(json.dumps(summary_to_dict(summary), sort_keys=True) + "\n")
                 if args.export_trace:
@@ -253,16 +253,15 @@ def _simulate_arm(args) -> ArmSpec:
 def cmd_sweep(args) -> int:
     seed = _resolve_seed(args)
     calibration = _load_calibration(args)
-    config = GenerationConfig(num_blocks=args.blocks, seed=seed)
     taus = tuple(args.tau_list) if args.tau_list else DEFAULT_SWEEP_TAUS
     try:
-        spec = SweepSpec(thresholds=taus, num_prompts=args.n, seed=seed)
+        spec = SweepSpec(thresholds=taus, num_prompts=args.n, seed=seed, num_blocks=args.blocks)
     except ValueError as exc:
         raise CliFailure(EXIT_USAGE, str(exc)) from exc
 
     _info(f"sweeping {len(taus)} thresholds x {args.n} prompts (seed {seed})")
     try:
-        rows = run_sweep(spec, calibration, config=config, jobs=args.jobs)
+        rows = run_sweep(spec, calibration, jobs=args.jobs)
     except (ValueError, BlockExecutionError) as exc:
         # Such as a calibration that gives an arm zero simulated time or breaks a model.
         raise CliFailure(EXIT_VALIDATION, str(exc)) from exc
@@ -279,11 +278,10 @@ def cmd_sweep(args) -> int:
 def cmd_ablate(args) -> int:
     seed = _resolve_seed(args)
     calibration = _load_calibration(args)
-    config = GenerationConfig(num_blocks=args.blocks, seed=seed)
     arms = [target_only_arm()] + ablation_arms() + [draft_only_arm()]
     _info(f"running {len(arms)} ablation arms x {args.n} prompts (seed {seed})")
     try:
-        rows = run_arms(arms, args.n, seed, calibration, config=config, jobs=args.jobs)
+        rows = run_arms(arms, args.n, seed, calibration, args.blocks, jobs=args.jobs)
     except (ValueError, BlockExecutionError) as exc:
         # Such as a calibration that gives an arm zero simulated time or breaks a model.
         raise CliFailure(EXIT_VALIDATION, str(exc)) from exc
@@ -380,10 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--seed", type=_int_at_least(0), default=None,
-                       help="master seed, >= 0 (default 42)")
+                       help=f"master seed, >= 0 (default {GenerationConfig.seed})")
         p.add_argument("--calibration", default=None,
                        help=f"calibration file (default ${CALIBRATION_ENV})")
-        p.add_argument("--blocks", type=_positive_int, default=default_config().num_blocks,
+        p.add_argument("--blocks", type=_positive_int, default=GenerationConfig.num_blocks,
                        help="blocks per video (default %(default)s)")
 
     p_fit = sub.add_parser("fit", help="fit calibration from a measurement table")

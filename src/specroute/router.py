@@ -50,7 +50,10 @@ def aggregate(scores: FrameScoreVector, mode: AggregationMode) -> float:
     if mode is AggregationMode.MIN_FRAME:
         return scores.minimum()
     if mode is AggregationMode.MEAN_FRAME:
-        return scores.mean()
+        q = scores.mean()  # finite scores can still sum past float range
+        if not math.isfinite(q):
+            raise ValueError(f"mean frame score of block {scores.block_index} overflows a float")
+        return q
     raise ValueError(f"unknown aggregation mode: {mode}")
 
 

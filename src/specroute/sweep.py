@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import GenerationConfig, PromptSpec, default_config
+from .core import GenerationConfig, PromptSpec
 from .costmodel import speedup
 from .engine import Arm, RunResult, run_arms_detailed
 from .router import (
@@ -97,11 +97,12 @@ def draft_only_arm() -> ArmSpec:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """What to sweep: thresholds, prompt count and seed."""
+    """What to sweep: thresholds, prompt count, seed and blocks per video."""
 
     thresholds: tuple[float, ...]
     num_prompts: int = 1003
-    seed: int = 42
+    seed: int = GenerationConfig.seed
+    num_blocks: int = GenerationConfig.num_blocks
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
@@ -130,23 +131,20 @@ def prompt_spec(index: int) -> PromptSpec:
 
 
 def run_prompts(
-    arms: Sequence[ArmSpec], indices: Iterable[int], seed: int,
+    arms: Sequence[ArmSpec], indices: Iterable[int],
     calibration: Calibration, config: GenerationConfig,
 ) -> Iterator[list[RunResult]]:
     """Run every arm on the synthetic stack over prompts `indices`, in order.
 
-    Yields each prompt's run_arms_detailed results, one per arm. The config
-    and calibration are seeded with `seed`, and each arm's policy takes its
-    per-run stream, so a prompt's results do not depend on which other
-    prompts run, or in which process.
+    Yields each prompt's run_arms_detailed results, one per arm. config.seed
+    keys the stack and each arm's per-run policy stream, so a prompt's
+    results do not depend on which other prompts run, or in which process.
     """
-    config = config.with_overrides(seed=seed)
-    calibration = calibration.with_seed(seed)
     stack = build_synthetic_stack(calibration, config)
     for i in indices:
         yield run_arms_detailed(
             config, prompt_spec(i), stack.drafter, stack.target, stack.decoder, stack.scorer,
-            [spec.arm._replace(policy=spec.arm.policy.for_run(seed, spec.label, i))
+            [spec.arm._replace(policy=spec.arm.policy.for_run(config.seed, spec.label, i))
              for spec in arms],
             calibration.latency, calibration.proxy.run_quality,
         )
@@ -154,13 +152,13 @@ def run_prompts(
 
 def _simulate_chunk(
     arms: Sequence[ArmSpec], calibration: Calibration, config: GenerationConfig,
-    indices: Sequence[int], seed: int,
+    indices: Sequence[int],
 ) -> list[list[tuple[float, float, float]]]:
     """Run every arm over a chunk of prompts; per prompt, each arm's (quality, time, accept)."""
     return [
         [(r.summary.quality_proxy, r.summary.total_time_s, r.summary.accept_rate_excl_block0)
          for r in results]
-        for results in run_prompts(arms, indices, seed, calibration, config)
+        for results in run_prompts(arms, indices, calibration, config)
     ]
 
 
@@ -169,7 +167,7 @@ def run_arms(
     num_prompts: int,
     seed: int,
     calibration: Calibration,
-    config: GenerationConfig | None = None,
+    num_blocks: int = GenerationConfig.num_blocks,
     jobs: int = 1,
 ) -> list[SweepRow]:
     """Simulate an explicit arm list; a target_only arm anchors the speedups."""
@@ -178,8 +176,7 @@ def run_arms(
         raise ValueError(f"arm labels must be unique: {labels}")
     if "target_only" not in labels:
         raise ValueError("arm list needs a target_only arm to define speedups")
-    if config is None:
-        config = default_config()
+    config = GenerationConfig(num_blocks=num_blocks, seed=seed)
 
     workers = min(jobs, os.cpu_count() or 1)
     indices = list(range(num_prompts))
@@ -188,13 +185,13 @@ def run_arms(
         with ProcessPoolExecutor(max_workers=workers) as executor:
             futures = [
                 executor.submit(
-                    _simulate_chunk, arms, calibration, config, indices[i : i + size], seed
+                    _simulate_chunk, arms, calibration, config, indices[i : i + size]
                 )
                 for i in range(0, num_prompts, size)
             ]
             per_prompt = [stats for f in futures for stats in f.result()]
     else:
-        per_prompt = _simulate_chunk(arms, calibration, config, indices, seed)
+        per_prompt = _simulate_chunk(arms, calibration, config, indices)
 
     # Each arm reduces over prompts in prompt order.
     try:
@@ -216,14 +213,11 @@ def run_arms(
     ]
 
 
-def run_sweep(
-    spec: SweepSpec,
-    calibration: Calibration,
-    config: GenerationConfig | None = None,
-    jobs: int = 1,
-) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec, calibration: Calibration, jobs: int = 1) -> list[SweepRow]:
     """One row per arm plus both baselines; deterministic under spec.seed."""
-    return run_arms(spec.arms(), spec.num_prompts, spec.seed, calibration, config, jobs)
+    return run_arms(
+        spec.arms(), spec.num_prompts, spec.seed, calibration, spec.num_blocks, jobs
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,10 @@ simulations.
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -124,7 +125,8 @@ class DraftQualityModel:
     """
 
     quantile_knots: tuple[tuple[float, float], ...]
-    rng_seed: int = 42
+    # Keys the score stream; build_synthetic_stack sets it to the run's seed.
+    rng_seed: int = GenerationConfig.seed
     upper_tail_slope: float = DEFAULT_UPPER_TAIL_SLOPE
     lower_tail_slope: float = DEFAULT_LOWER_TAIL_SLOPE
     frame_gap_mean: float = DEFAULT_FRAME_GAP_MEAN
@@ -201,7 +203,6 @@ class DraftQualityModel:
     def to_dict(self) -> dict:
         return {
             "quantile_knots": [[t, a] for t, a in self.quantile_knots],
-            "rng_seed": self.rng_seed,
             "upper_tail_slope": self.upper_tail_slope,
             "lower_tail_slope": self.lower_tail_slope,
             "frame_gap_mean": self.frame_gap_mean,
@@ -211,29 +212,16 @@ class DraftQualityModel:
     def from_dict(cls, d: dict) -> DraftQualityModel:
         return cls(
             quantile_knots=tuple((float(t), float(a)) for t, a in d["quantile_knots"]),
-            rng_seed=int(d.get("rng_seed", 42)),
             upper_tail_slope=float(d.get("upper_tail_slope", DEFAULT_UPPER_TAIL_SLOPE)),
             lower_tail_slope=float(d.get("lower_tail_slope", DEFAULT_LOWER_TAIL_SLOPE)),
             frame_gap_mean=float(d.get("frame_gap_mean", DEFAULT_FRAME_GAP_MEAN)),
         )
 
 
-def fit_quantile(
-    knots: Sequence[tuple[float, float]],
-    rng_seed: int = 42,
-    upper_tail_slope: float = DEFAULT_UPPER_TAIL_SLOPE,
-    lower_tail_slope: float = DEFAULT_LOWER_TAIL_SLOPE,
-    frame_gap_mean: float = DEFAULT_FRAME_GAP_MEAN,
-) -> DraftQualityModel:
+def fit_quantile(knots: Sequence[tuple[float, float]]) -> DraftQualityModel:
     """Interpolating quantile model through measured (tau, accept_rate) knots."""
     ordered = tuple(sorted(((float(t), float(a)) for t, a in knots), key=lambda k: -k[0]))
-    return DraftQualityModel(
-        quantile_knots=ordered,
-        rng_seed=rng_seed,
-        upper_tail_slope=upper_tail_slope,
-        lower_tail_slope=lower_tail_slope,
-        frame_gap_mean=frame_gap_mean,
-    )
+    return DraftQualityModel(quantile_knots=ordered)
 
 
 def fit_frame_gap(
@@ -313,6 +301,8 @@ class QualityProxyModel:
                     f"accepted block {t.block_index} has no frame scores to penalize"
                 )
             total -= self.penalty(t.frame_scores.minimum())
+        if not math.isfinite(total):
+            raise ValueError(f"quality proxy of {len(traces)} blocks overflows a float")
         return total
 
     def expected_penalty_above(self, quantile: DraftQualityModel, tau: float) -> float:
@@ -529,7 +519,7 @@ def load_reference_table(path: str | Path | None = None) -> ReferenceTable:
     Rows are objects in the arrays "main" and (optionally) "ablation";
     each has a string "method" and JSON numbers or nulls for the rest.
     Invalid UTF-8 or JSON, a wrong shape or a row value that is not a
-    number raises CalibrationError.
+    finite number raises CalibrationError.
     """
     if path is None:
         source = resources.files("specroute.data").joinpath("reference_table.json")
@@ -543,7 +533,7 @@ def load_reference_table(path: str | Path | None = None) -> ReferenceTable:
         for where, value in _non_numbers(sections, "table"):
             if value is not None and not where.endswith(".method"):
                 raise CalibrationError(
-                    f"{_KEY_PATH.repr(where)} is not a number: {reprlib.repr(value)}"
+                    f"{_KEY_PATH.repr(where)} is not a finite number: {reprlib.repr(value)}"
                 )
     except UnicodeDecodeError as exc:
         raise CalibrationError(f"reference table is not valid UTF-8: {exc}") from None
@@ -591,8 +581,8 @@ class Calibration:
     def from_json(cls, text: str) -> Calibration:
         """Parse a calibration file.
 
-        Every value but latency.overlap_mode must be a JSON number. Bad JSON,
-        a missing key, a wrong shape or a value that is not a number raises
+        Every value but latency.overlap_mode must be a finite JSON number. Bad
+        JSON, a missing key, a wrong shape or a value that is not one raises
         CalibrationError; a number that breaks a model invariant (such as a
         negative latency) raises CalibrationValueError.
         """
@@ -601,7 +591,7 @@ class Calibration:
             for path, value in _non_numbers(doc, "calibration"):
                 if path != "calibration.latency.overlap_mode":
                     raise CalibrationError(
-                        f"{_KEY_PATH.repr(path)} is not a number: {reprlib.repr(value)}"
+                        f"{_KEY_PATH.repr(path)} is not a finite number: {reprlib.repr(value)}"
                     )
         except json.JSONDecodeError as exc:
             raise CalibrationError(f"calibration file is not valid JSON: {exc}") from exc
@@ -632,8 +622,7 @@ class Calibration:
 
     def with_seed(self, seed: int) -> Calibration:
         """Same fitted curves, different sampling stream."""
-        quantile = DraftQualityModel.from_dict({**self.quantile.to_dict(), "rng_seed": seed})
-        return Calibration(quantile=quantile, latency=self.latency, proxy=self.proxy)
+        return replace(self, quantile=replace(self.quantile, rng_seed=seed))
 
 
 # Echoes a key path from _non_numbers in a message: every path of a
@@ -651,15 +640,24 @@ def _digit_limit_error(what: str) -> CalibrationError:
 
 
 def _non_numbers(value, path: str):
-    """Yield (path, value) for every leaf under value that is not a JSON number."""
+    """Yield (path, value) for every leaf under value that is not a finite float.
+
+    json reads NaN, Infinity and 1e400 (as inf) as floats, and an integer
+    of any length; none of them is a number a model can use.
+    """
     if isinstance(value, dict):
         for key, item in value.items():
             yield from _non_numbers(item, f"{path}.{key}")
     elif isinstance(value, list):
         for i, item in enumerate(value):
             yield from _non_numbers(item, f"{path}[{i}]")
-    elif isinstance(value, bool) or not isinstance(value, (int, float)):
-        yield path, value
+    else:
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number, or an int past float range
+            finite = False
+        if not finite:
+            yield path, value
 
 
 def synthetic_table(calibration: Calibration) -> ReferenceTable:
@@ -752,8 +750,7 @@ def fit_calibration(
     ]
     quantile = fit_quantile(knots)
     if mean_rows:
-        gap = fit_frame_gap(quantile, mean_rows)
-        quantile = DraftQualityModel.from_dict({**quantile.to_dict(), "frame_gap_mean": gap})
+        quantile = replace(quantile, frame_gap_mean=fit_frame_gap(quantile, mean_rows))
 
     latency_rows: list[tuple[str | float, float]] = []
     for row in table.main:
@@ -897,8 +894,9 @@ class SyntheticStack:
 
 
 def build_synthetic_stack(calibration: Calibration, config: GenerationConfig) -> SyntheticStack:
+    """The synthetic models of one run; config.seed keys the drafter's scores and noise."""
     return SyntheticStack(
-        drafter=SyntheticDrafter(calibration.quantile, config),
+        drafter=SyntheticDrafter(calibration.with_seed(config.seed).quantile, config),
         target=SyntheticTarget(config),
         decoder=SyntheticDecoder(config),
         scorer=SyntheticScorer(),

@@ -25,6 +25,17 @@ from specroute.synthmodels import (
 
 
 HUGE_LATENCY = {"c_draft": 1e308, "c_target": 1e308}
+# JSON literals that json reads as numbers but that are not finite floats.
+NON_FINITE = {"nan": "NaN", "infinity": "Infinity", "1e400": "1e400", "401_digits": "9" * 401}
+
+
+def _json_with_literal(doc, path, literal: str) -> str:
+    """doc as JSON text, with the value at key path `path` written as `literal`."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "@LITERAL@"
+    return json.dumps(doc).replace('"@LITERAL@"', literal)
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +91,18 @@ class TestFit:
         assert main(["fit", "--table", str(bad), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "cannot parse table" in err
+        assert len(err) < 1024
+        assert not out.exists()
+
+    @pytest.mark.parametrize("literal", NON_FINITE.values(), ids=NON_FINITE.keys())
+    def test_non_finite_table_number_is_a_parse_error(self, tmp_path, capsys, literal):
+        table = tmp_path / "table.json"
+        doc = table_to_json_dict(load_reference_table())
+        table.write_text(_json_with_literal(doc, ("main", 0, "vr"), literal))
+        out = tmp_path / "c.json"
+        assert main(["fit", "--table", str(table), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "'table.main[0].vr' is not a finite number" in err
         assert len(err) < 1024
         assert not out.exists()
 
@@ -140,7 +163,7 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "value,code", [(-1.0, 4), (float("inf"), 4), ("abc", 3), ("x" * 100_000, 3)],
+        "value,code", [(-1.0, 4), (float("inf"), 3), ("abc", 3), ("x" * 100_000, 3)],
         ids=["negative", "infinite", "not_a_number", "long_string"],
     )
     def test_bad_latency_value_in_calibration(self, cal_path, tmp_path, capsys, value, code):
@@ -186,6 +209,65 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "digits" in err and "Traceback" not in err
         assert len(err) < 1024
+
+    @pytest.mark.parametrize(
+        "path,literal",
+        [(("quality_proxy", "base_quality"), "NaN"),
+         (("quality_proxy", "base_quality"), "1e400"),
+         (("quality_proxy", "base_quality"), "9" * 401),
+         (("latency", "c_draft"), "9" * 401),
+         (("draft_quality", "frame_gap_mean"), "9" * 401),
+         (("draft_quality", "frame_gap_mean"), "NaN"),
+         (("quality_proxy", "edges", 3), "NaN")],
+        ids=["base_quality_nan", "base_quality_1e400", "base_quality_401_digits",
+             "c_draft_401_digits", "frame_gap_mean_401_digits", "frame_gap_mean_nan", "edge_nan"],
+    )
+    def test_non_finite_calibration_number_is_a_parse_error(
+        self, cal_path, tmp_path, capsys, path, literal
+    ):
+        bad = tmp_path / "cal.json"
+        bad.write_text(_json_with_literal(json.loads(cal_path.read_text()), path, literal))
+        out, out_json = tmp_path / "o", tmp_path / "o.json"
+        assert main(["sweep", "--calibration", str(bad), "--n", "1", "--blocks", "2",
+                     "--out", str(out), "--out-json", str(out_json)]) == 3
+        err = capsys.readouterr().err
+        assert f"'calibration.{path[0]}.{path[1]}" in err and "is not a finite number" in err
+        assert len(err) < 1024
+        assert not out.exists() and not out_json.exists()
+
+    def test_rng_seed_in_a_calibration_file_changes_nothing(self, cal_path, tmp_path):
+        doc = json.loads(cal_path.read_text())
+        assert "rng_seed" not in doc["draft_quality"]
+        doc["draft_quality"]["rng_seed"] = 12345
+        seeded = tmp_path / "seeded.json"
+        seeded.write_text(json.dumps(doc))
+        outputs = []
+        for cal in (cal_path, seeded):
+            runs, csv = tmp_path / f"{cal.stem}.jsonl", tmp_path / f"{cal.stem}.csv"
+            assert main(["simulate", "--calibration", str(cal), "--policy", "random",
+                         "--n", "3", "--blocks", "3", "--out", str(runs)]) == 0
+            assert main(["sweep", "--calibration", str(cal), "--n", "3", "--blocks", "3",
+                         "--out", str(csv)]) == 0
+            outputs.append((runs.read_text(), csv.read_text()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "ablate"])
+    def test_overflowing_quality_proxy_is_validation_error(
+        self, cal_path, tmp_path, capsys, command
+    ):
+        doc = json.loads(cal_path.read_text())
+        doc["quality_proxy"]["penalties"] = [1e308] * len(doc["quality_proxy"]["penalties"])
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps(doc))
+        out, out_json = tmp_path / "o", tmp_path / "o.json"
+        args = [command, "--calibration", str(cal), "--n", "1", "--blocks", "3",
+                "--out", str(out)]
+        args += {"simulate": ["--policy", "always-accept"], "sweep": ["--out-json", str(out_json)],
+                 "ablate": []}[command]
+        assert main(args) == 4
+        assert "quality proxy of 3 blocks overflows a float" in capsys.readouterr().err
+        assert not out_json.exists()
+        assert not out.exists() or out.read_text() == ""
 
     @pytest.mark.parametrize("flag", ["--calibration"])
     def test_invalid_utf8_input_file_is_parse_error(self, cal_path, tmp_path, flag):
@@ -617,6 +699,22 @@ class TestReplayCommand:
         trace.write_text("".join(json.dumps({**record, "block_index": b}) + "\n" for b in (0, 1)))
         assert main(["replay", "--trace", str(trace), "--tau", "-1", "--out", str(out)]) == 4
         assert "overflows a float" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scores", [[1e308, 1e308], [-1e308, -1e308, 1e308, 1e308]],
+                             ids=["plus", "minus"])
+    def test_overflowing_mean_frame_score_is_validation_error(
+        self, tmp_path, capsys, monkeypatch, scores
+    ):
+        monkeypatch.delenv("SPECROUTE_CALIBRATION", raising=False)
+        record = {"prompt_id": "p", "draft_time_s": 1.0, "decode_time_s": 0.0,
+                  "score_time_s": 0.0, "target_time_s": 1.0}
+        trace, out = tmp_path / "t.jsonl", tmp_path / "r.json"
+        trace.write_text("".join(json.dumps({**record, "block_index": b, "frame_scores": f}) + "\n"
+                                 for b, f in enumerate([[0.0], scores])))
+        assert main(["replay", "--trace", str(trace), "--tau", "-1", "--aggregation",
+                     "mean_frame", "--out", str(out)]) == 4
+        assert "mean frame score of block 1 overflows a float" in capsys.readouterr().err
         assert not out.exists()
 
     def test_gappy_trace_is_validation_error(self, trace_path, tmp_path):

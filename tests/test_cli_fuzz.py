@@ -5,7 +5,7 @@ values, garbage, nan, inf, negative and huge numbers) and on drawn
 contents of its calibration, table and trace files. The property:
 no exception escapes main(), the exit code is documented (1, the Pareto
 verdict, only from sweep), stderr stays within 4 KB and a successful run
-writes no Infinity or NaN.
+writes no Infinity or NaN, and no CSV cell that is not a finite number.
 
 A run's cost grows linearly with --n and --blocks by design, so both are
 drawn from {1, 2, 3} only. The sweep's process pool is replaced by an inline
@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import io
 import json
+import math
 import os
 from concurrent.futures import Future
 from contextlib import redirect_stderr, redirect_stdout
@@ -38,7 +39,7 @@ NUMBERS = ["0", "1", "-1", "3", "0.5", "-0.7", "1.5", "nan", "-nan", "inf", "-in
 GARBAGE = ["", "x", "é", "--", "0x10", "1_0", "\x00", "true"]
 # JSON values a calibration, table or trace leaf is replaced with.
 JSON_VALUES = [-1, 0, 1, 0.5, -0.7, 1e308, 5e307, -1e308, 1e-308, float("nan"), float("inf"),
-               10**30, 2**64, "x", "", None, True, [], {}, [0.0]]
+               10**30, 2**64, 10**400, "x", "", None, True, [], {}, [0.0]]
 
 INPUTS = ["@cal", "@table", "@trace", "@valid_cal", "@missing", "@dir", ""]
 OUTPUTS = ["@out", "-", "@dir", "@missing_parent/o", ""]
@@ -219,6 +220,12 @@ OVERFLOW_TRACE = "".join(
     for b in range(2)
 ).encode()
 HUGE_LATENCY = [(("latency", "c_draft"), 1e308), (("latency", "c_target"), 1e308)]
+HUGE_PENALTIES = [(("quality_proxy", "penalties", k), 1e308) for k in range(8)]
+OVERFLOW_MEAN_TRACE = "".join(
+    json.dumps({"prompt_id": "p", "block_index": b, "frame_scores": scores, "draft_time_s": 1.0,
+                "decode_time_s": 0.0, "score_time_s": 0.0, "target_time_s": 1.0}) + "\n"
+    for b, scores in enumerate([[0.0], [1e308, 1e308]])
+).encode()
 NO_EDITS = {"cal": None, "table": None, "trace": None}
 
 
@@ -239,6 +246,15 @@ NO_EDITS = {"cal": None, "table": None, "trace": None}
          files={**NO_EDITS, "cal": [(("draft_quality", "frame_gap_mean"), 1e308)]}, ci=False)
 @example(argv=["fit", "--table", "@table", "--out", "@out"],
          files={**NO_EDITS, "table": HUGE_INTEGER}, ci=False)
+@example(argv=["fit", "--table", "@table", "--out", "@out"],
+         files={**NO_EDITS, "table": [(("main", 0, "vr"), 10**400)]}, ci=False)
+@example(argv=["sweep", "--calibration", "@cal", "--n", "1", "--blocks", "2", "--out", "@out"],
+         files={**NO_EDITS, "cal": [(("quality_proxy", "base_quality"), float("nan"))]}, ci=False)
+@example(argv=["sweep", "--calibration", "@cal", "--n", "1", "--blocks", "3", "--out", "@out"],
+         files={**NO_EDITS, "cal": HUGE_PENALTIES}, ci=False)
+@example(argv=["replay", "--trace", "@trace", "--tau", "-1", "--aggregation", "mean_frame",
+               "--out", "@out"],
+         files={**NO_EDITS, "trace": OVERFLOW_MEAN_TRACE}, ci=False)
 def test_cli_never_crashes(workdir, argv, files, ci):
     _write_inputs(workdir, files)
     outputs = [workdir / "out", workdir / "out_json"]
@@ -262,4 +278,13 @@ def test_cli_never_crashes(workdir, argv, files, ci):
     assert len(err.encode()) <= MAX_STDERR, err[:200]
     if code == 0:
         texts = [stdout.getvalue()] + [p.read_text(errors="replace") for p in outputs if p.is_file()]
-        assert not any("Infinity" in t or "NaN" in t for t in texts)
+        assert not any(_has_non_finite(t) for t in texts), texts
+
+
+def _has_non_finite(text: str) -> bool:
+    """Whether an output holds a number that is not finite: JSON's Infinity or
+    NaN, or a CSV cell such as nan or -inf."""
+    if text.startswith(sweep.CSV_HEADER):
+        cells = [c for line in text.splitlines()[1:] for c in line.split(",")[1:]]
+        return not all(math.isfinite(float(c)) for c in cells)
+    return "Infinity" in text or "NaN" in text

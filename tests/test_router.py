@@ -40,6 +40,13 @@ class TestAggregate:
                 with pytest.raises(ValueError):
                     aggregate(FrameScoreVector(0, (0.1, bad)), mode)
 
+    @pytest.mark.parametrize("scores", [(1e308, 1e308), (-1e308, -1e308, 1e308, 1e308)])
+    def test_overflowing_mean_rejected(self, scores):
+        v = FrameScoreVector(1, scores)
+        with pytest.raises(ValueError, match="overflows a float"):
+            aggregate(v, AggregationMode.MEAN_FRAME)
+        assert aggregate(v, AggregationMode.MIN_FRAME) == min(scores)
+
     @given(scores=finite_scores)
     def test_min_never_exceeds_mean(self, scores):
         v = FrameScoreVector(0, tuple(scores))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import random
 from concurrent.futures import Future
 
@@ -75,6 +76,21 @@ class TestRunSweep:
     def test_seed_changes_monte_carlo_outcomes(self, calibration, small_rows):
         other = run_sweep(SweepSpec(thresholds=SMALL_TAUS, num_prompts=40, seed=12), calibration)
         assert other != small_rows
+
+    def test_seed_argument_is_the_runs_only_seed(self, calibration):
+        arms = [target_only_arm(), threshold_arm(-0.7), random_arm(0.5, False)]
+        rows = run_arms(arms, 5, 42, calibration)
+        assert run_arms(arms, 5, 42, calibration.with_seed(99)) == rows
+        assert run_arms(arms, 5, 7, calibration) != rows
+        for fn in (run_arms, run_sweep):
+            assert "config" not in inspect.signature(fn).parameters
+        assert "seed" not in inspect.signature(sweep.run_prompts).parameters
+
+    def test_num_blocks_comes_from_the_spec(self, calibration):
+        spec = SweepSpec(thresholds=(-0.7,), num_prompts=3, seed=5, num_blocks=4)
+        rows = run_sweep(spec, calibration)
+        assert rows == run_arms(spec.arms(), 3, 5, calibration, num_blocks=4)
+        assert rows != run_sweep(SweepSpec(thresholds=(-0.7,), num_prompts=3, seed=5), calibration)
 
     def test_single_prompt_always_reject_speedup(self, calibration):
         rows = run_sweep(SweepSpec(thresholds=(-0.7,), num_prompts=1, seed=0), calibration)

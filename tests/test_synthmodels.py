@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from specroute.core import (
     BlockTrace,
     DecisionReason,
     FrameScoreVector,
+    GenerationConfig,
     Producer,
     PromptSpec,
     RoutingDecision,
@@ -24,6 +28,7 @@ from specroute.synthmodels import (
     SyntheticDecoder,
     SyntheticDrafter,
     SyntheticTarget,
+    build_synthetic_stack,
     fit_calibration,
     fit_frame_gap,
     fit_quality_proxy,
@@ -50,7 +55,7 @@ def model():
 
 @pytest.fixture(scope="module")
 def seeded_model():
-    return fit_quantile(KNOTS, rng_seed=7)
+    return dataclasses.replace(fit_quantile(KNOTS), rng_seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +212,13 @@ class TestQualityProxyModel:
         with pytest.raises(ValueError):
             model.run_quality([bad])
 
+    def test_overflowing_total_is_an_error(self):
+        model = QualityProxyModel(0.0788, edges=(-0.7,), penalties=(1e308, 1e308))
+        traces = [self.accepted_trace(b, 0.5) for b in range(2)]
+        assert model.run_quality(traces[:1]) == 0.0788 - 1e308
+        with pytest.raises(ValueError, match="overflows a float"):
+            model.run_quality(traces)
+
     def test_validation(self):
         with pytest.raises(CalibrationError):
             QualityProxyModel(0.07, edges=(-0.7, -0.5), penalties=(0.0, 0.0, 0.0))
@@ -218,7 +230,7 @@ class TestQualityProxyModel:
 
 class TestExpectedPenalty:
     def test_matches_monte_carlo_oracle(self):
-        quantile = fit_quantile(KNOTS, rng_seed=3)
+        quantile = fit_quantile(KNOTS)
         model = QualityProxyModel(
             base_quality=0.08,
             edges=tuple(t for t, _ in KNOTS),
@@ -275,6 +287,12 @@ class TestCalibrationBundle:
         b = other.quantile.sample_block_score("p", 1, 3)
         assert a != b
 
+    def test_file_has_no_rng_seed_and_ignores_one(self, calibration):
+        doc = json.loads(calibration.to_json())
+        assert "rng_seed" not in doc["draft_quality"]
+        doc["draft_quality"]["rng_seed"] = 12345
+        assert Calibration.from_json(json.dumps(doc)) == calibration
+
     def test_refit_of_synthetic_table_is_a_fixed_point(self, calibration):
         table = synthetic_table(calibration)
         refit, latency_report, quality_report = fit_calibration(table)
@@ -298,6 +316,17 @@ class TestCalibrationBundle:
         path.write_text("{}")
         with pytest.raises(CalibrationError):
             Calibration.load(path)
+
+
+class TestStackSeed:
+    def test_config_seed_keys_the_drafters_scores(self, calibration):
+        config = GenerationConfig(seed=42)
+        reseeded = build_synthetic_stack(calibration.with_seed(7), config).drafter.quality
+        plain = build_synthetic_stack(calibration, config).drafter.quality
+        assert reseeded.sample_block_score("p", 1, 12) == plain.sample_block_score("p", 1, 12)
+        seven = build_synthetic_stack(calibration, GenerationConfig(seed=7)).drafter.quality
+        expected = calibration.with_seed(7).quantile.sample_block_score("p", 1, 12)
+        assert seven.sample_block_score("p", 1, 12) == expected != plain.sample_block_score("p", 1, 12)
 
 
 class TestReferenceTable:
