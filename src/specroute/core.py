@@ -197,6 +197,15 @@ class DecodedFrames:
         object.__setattr__(self, "frames", tuple(frozen))
 
 
+def all_finite(values: tuple[float, ...]) -> bool:
+    """Whether every float in values is finite.
+
+    A float sum is finite only if every term is, so one sum settles the
+    common case; only a sum that overflows needs the scan.
+    """
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
 _FLOAT_ONLY = frozenset({float})
 
 
@@ -204,9 +213,10 @@ _FLOAT_ONLY = frozenset({float})
 class FrameScoreVector:
     """Per-frame reward scores for one decoded block.
 
-    Scores are stored as a tuple of plain floats; a tuple that already is
-    one is kept as given, anything else (ints, numpy scalars, lists) is
-    converted once.
+    The one owner of the score invariant: scores are a non-empty tuple of
+    finite plain floats, so aggregation never rescans them. A tuple that
+    already holds only floats is kept as given; anything else (ints, numpy
+    scalars, lists) is converted once.
     """
 
     block_index: int
@@ -215,7 +225,20 @@ class FrameScoreVector:
     def __post_init__(self) -> None:
         scores = self.scores
         if type(scores) is not tuple or not set(map(type, scores)) <= _FLOAT_ONLY:
-            object.__setattr__(self, "scores", tuple(map(float, scores)))
+            scores = tuple(map(float, scores))
+            object.__setattr__(self, "scores", scores)
+        if not scores:
+            raise ValueError("cannot aggregate an empty score vector")
+        if not all_finite(scores):
+            raise ValueError(f"non-finite frame score in block {self.block_index}")
+
+    @classmethod
+    def from_checked(cls, block_index: int, scores: tuple[float, ...]) -> FrameScoreVector:
+        """A vector over scores already known to hold the invariant; runs no checks."""
+        vector = _new(cls)
+        _set_vector_block_index(vector, block_index)
+        _set_scores(vector, scores)
+        return vector
 
     def minimum(self) -> float:
         return min(self.scores)
@@ -262,6 +285,44 @@ class BlockTrace:
         for name in ("draft_time_s", "score_time_s", "target_time_s", "decode_time_s"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+
+    @classmethod
+    def from_checked(
+        cls,
+        block_index: int,
+        decision: RoutingDecision,
+        aggregate_score: float | None,
+        frame_scores: FrameScoreVector | None,
+        draft_time_s: float,
+        score_time_s: float,
+        target_time_s: float,
+        decode_time_s: float,
+    ) -> BlockTrace:
+        """A trace over times already known to be non-negative; runs no checks."""
+        trace = _new(cls)
+        _set_trace_block_index(trace, block_index)
+        _set_decision(trace, decision)
+        _set_aggregate_score(trace, aggregate_score)
+        _set_frame_scores(trace, frame_scores)
+        _set_draft_time(trace, draft_time_s)
+        _set_score_time(trace, score_time_s)
+        _set_target_time(trace, target_time_s)
+        _set_decode_time(trace, decode_time_s)
+        return trace
+
+
+# Slot setters for the from_checked constructors, which skip __post_init__.
+_new = object.__new__
+_set_vector_block_index = FrameScoreVector.block_index.__set__
+_set_scores = FrameScoreVector.scores.__set__
+_set_trace_block_index = BlockTrace.block_index.__set__
+_set_decision = BlockTrace.decision.__set__
+_set_aggregate_score = BlockTrace.aggregate_score.__set__
+_set_frame_scores = BlockTrace.frame_scores.__set__
+_set_draft_time = BlockTrace.draft_time_s.__set__
+_set_score_time = BlockTrace.score_time_s.__set__
+_set_target_time = BlockTrace.target_time_s.__set__
+_set_decode_time = BlockTrace.decode_time_s.__set__
 
 
 @dataclass(frozen=True, slots=True)

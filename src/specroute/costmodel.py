@@ -16,7 +16,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .core import BlockTrace
 
@@ -161,6 +160,9 @@ def fit_latencies(
             )
             labels.append(f"accept={rate:g}")
         targets.append(float(time_s))
+
+    # Only fit needs scipy, so every other command starts without importing it.
+    from scipy.optimize import nnls
 
     a = np.asarray(design)
     y = np.asarray(targets)

@@ -42,15 +42,15 @@ class AggregationMode(str, Enum):
 
 
 def aggregate(scores: FrameScoreVector, mode: AggregationMode) -> float:
-    """Collapse per-frame scores into the block score q."""
-    if not scores.scores:
-        raise ValueError("cannot aggregate an empty score vector")
-    if not all(map(math.isfinite, scores.scores)):
-        raise ValueError(f"non-finite frame score in block {scores.block_index}")
+    """Collapse per-frame scores into the block score q.
+
+    The vector guarantees its scores non-empty and finite, so only the
+    mean, which finite scores can push past float range, is checked here.
+    """
     if mode is AggregationMode.MIN_FRAME:
         return scores.minimum()
     if mode is AggregationMode.MEAN_FRAME:
-        q = scores.mean()  # finite scores can still sum past float range
+        q = scores.mean()
         if not math.isfinite(q):
             raise ValueError(f"mean frame score of block {scores.block_index} overflows a float")
         return q

@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .caches import KVCache, SnapshotMismatchError
 from .core import (
@@ -428,6 +427,9 @@ def fit_quality_proxy(
         row[k], row[k + 1] = 1.0, -1.0
         a_ub.append(row)
         b_ub.append(0.0)
+
+    # Only fit needs scipy, so every other command starts without importing it.
+    from scipy.optimize import linprog
 
     result = linprog(
         c,

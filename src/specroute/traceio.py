@@ -20,6 +20,14 @@ Record format (one JSON object per line, unknown keys rejected):
     optional  score_time_s       number >= 0
     optional  producer_observed  "draft" | "target"
 
+Each rule is checked once, where the value enters. The parser checks JSON
+types; the record checks values (the constructor enforces the same rules
+with the same messages, so any record it accepts serializes to a line the
+parser accepts); FrameScoreVector checks that scores are non-empty and
+finite. The parser builds each record from the values it has checked,
+without running the constructor's checks again, and `replay` builds each
+block's score vector and trace from the record's checked values.
+
 `parse_trace` reads its input line by line but returns every record in
 one list, and `replay` groups that list by prompt before routing, so
 memory grows with the size of the trace.
@@ -33,7 +41,7 @@ import math
 import reprlib
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -44,6 +52,7 @@ from .core import (
     Producer,
     RunSummary,
     Verdict,
+    all_finite,
 )
 from .costmodel import LatencyParams
 from .engine import summarize_run
@@ -67,7 +76,13 @@ _REQUIRED_KEYS = frozenset({"prompt_id", "block_index", "frame_scores"})
 _TIME_KEYS = ("draft_time_s", "target_time_s", "decode_time_s", "score_time_s")
 _KNOWN_KEYS = _REQUIRED_KEYS | set(_TIME_KEYS) | {"producer_observed"}
 _NUMBER_TYPES = frozenset({int, float})
+_FLOAT_ONLY = frozenset({float})
 _OPTIONAL_NUMBER_TYPES = _NUMBER_TYPES | {type(None)}
+# What Producer(...) accepts other than a Producer: its values.
+_PRODUCERS = {p.value: p for p in Producer}
+_BAD_PROMPT_ID = "prompt_id must be a non-empty string"
+_BAD_BLOCK_INDEX = "block_index must be an integer"
+_new_record = object.__new__
 
 RECORDED = "recorded"
 MODELED = "modeled"
@@ -87,7 +102,11 @@ class TraceFormatError(ValueError):
 class ExternalTraceRecord:
     """Per-block observation exported by a real (or simulated) pipeline.
 
-    Construction converts every value to float once and checks it.
+    Construction enforces the value rules the parser does, with its
+    messages: a non-empty string prompt id, a non-negative integer block
+    index (not a bool), non-empty finite frame scores, non-negative finite
+    times, and a producer that Producer(...) accepts. It converts every
+    number to float once.
     """
 
     prompt_id: str
@@ -100,34 +119,88 @@ class ExternalTraceRecord:
     producer_observed: Producer | None = None
 
     def __post_init__(self) -> None:
-        try:
-            scores = tuple(map(float, self.frame_scores))
-        except OverflowError:
-            raise ValueError("frame_scores must fit in a float") from None
-        object.__setattr__(self, "frame_scores", scores)
-        if not scores:
-            raise ValueError("frame_scores must be non-empty")
-        if not all(map(math.isfinite, scores)):
-            raise ValueError("frame_scores must be finite")
-        if self.block_index < 0:
-            raise ValueError(f"block_index must be >= 0, got {self.block_index}")
-        for name in _TIME_KEYS:
-            val = getattr(self, name)
-            if val is None:
-                continue
+        if not isinstance(self.prompt_id, str) or not self.prompt_id:
+            raise ValueError(_BAD_PROMPT_ID)
+        block_index = self.block_index
+        if not isinstance(block_index, int) or isinstance(block_index, bool):
+            raise ValueError(_BAD_BLOCK_INDEX)
+        producer = self.producer_observed
+        if producer is not None and type(producer) is not Producer:
+            producer = _producer(producer)
+        scores = _float_scores(self.frame_scores)
+        times = (self.draft_time_s, self.target_time_s, self.decode_time_s, self.score_time_s)
+        _store_checked(self, scores, _checked_values(scores, block_index, times), producer)
+
+
+# Slot setters, so a record can be filled with checked values without __post_init__.
+(
+    _set_prompt_id, _set_block_index, _set_frame_scores, _set_draft_time,
+    _set_target_time, _set_decode_time, _set_score_time, _set_producer,
+) = (vars(ExternalTraceRecord)[f.name].__set__ for f in fields(ExternalTraceRecord))
+
+
+def _store_checked(
+    record: ExternalTraceRecord,
+    scores: tuple[float, ...],
+    times: tuple[float | None, ...],
+    producer: Producer | None,
+) -> None:
+    _set_frame_scores(record, scores)
+    draft, target, decode, score = times
+    _set_draft_time(record, draft)
+    _set_target_time(record, target)
+    _set_decode_time(record, decode)
+    _set_score_time(record, score)
+    _set_producer(record, producer)
+
+
+def _producer(value: object) -> Producer:
+    try:
+        return _PRODUCERS[value]
+    except (KeyError, TypeError):
+        raise ValueError(
+            f"producer_observed must be 'draft' or 'target', got {reprlib.repr(value)}"
+        ) from None
+
+
+def _float_scores(scores: Iterable) -> tuple[float, ...]:
+    try:
+        return tuple(map(float, scores))
+    except OverflowError:
+        raise ValueError("frame_scores must fit in a float") from None
+
+
+def _checked_values(
+    scores: tuple[float, ...], block_index: int, times: tuple
+) -> tuple[float | None, ...]:
+    """Check a record's values in the parser's order; return its times as floats or None."""
+    if not scores:
+        raise ValueError("frame_scores must be non-empty")
+    if not all_finite(scores):
+        raise ValueError("frame_scores must be finite")
+    if block_index < 0:
+        raise ValueError(f"block_index must be >= 0, got {block_index}")
+    checked = []
+    for name, val in zip(_TIME_KEYS, times):
+        if val is not None:
             if type(val) is not float:
                 try:
                     val = float(val)
                 except OverflowError:
                     raise ValueError(f"{name} must fit in a float") from None
-                object.__setattr__(self, name, val)
             # Also false for NaN.
             if not 0.0 <= val < math.inf:
                 raise ValueError(f"{name} must be a non-negative finite number")
+        checked.append(val)
+    return tuple(checked)
 
 
 def _record_from_obj(obj: object, line_number: int) -> ExternalTraceRecord:
-    """Check the JSON shape of one record; the record checks the values."""
+    """Check one JSON record's shape, then its values, and build it without rechecking.
+
+    JSON yields exact types, so the shape checks compare types directly:
+    true and false are not integers or numbers here.
+    """
     if not isinstance(obj, dict):
         raise TraceFormatError("record must be a JSON object", line_number)
     if not obj.keys() <= _KNOWN_KEYS:
@@ -138,36 +211,35 @@ def _record_from_obj(obj: object, line_number: int) -> ExternalTraceRecord:
         raise TraceFormatError(f"missing required fields {sorted(missing)}", line_number)
     prompt_id = obj["prompt_id"]
     if not isinstance(prompt_id, str) or not prompt_id:
-        raise TraceFormatError("prompt_id must be a non-empty string", line_number)
+        raise TraceFormatError(_BAD_PROMPT_ID, line_number)
     block_index = obj["block_index"]
-    # JSON yields exact types, so this also rejects true and false.
     if type(block_index) is not int:
-        raise TraceFormatError("block_index must be an integer", line_number)
+        raise TraceFormatError(_BAD_BLOCK_INDEX, line_number)
     scores = obj["frame_scores"]
     if type(scores) is not list or not scores:
         raise TraceFormatError("frame_scores must be a non-empty array", line_number)
-    if not set(map(type, scores)) <= _NUMBER_TYPES:
+    score_types = set(map(type, scores))
+    if not score_types <= _NUMBER_TYPES:
         raise TraceFormatError("frame_scores must contain only numbers", line_number)
 
     producer = obj.get("producer_observed")
-    if producer is not None:
-        try:
-            producer = Producer(producer)
-        except ValueError:
-            raise TraceFormatError(
-                f"producer_observed must be 'draft' or 'target', got {reprlib.repr(producer)}",
-                line_number,
-            ) from None
-
     times = tuple(map(obj.get, _TIME_KEYS))
-    if not set(map(type, times)) <= _OPTIONAL_NUMBER_TYPES:
-        key = next(k for k, v in zip(_TIME_KEYS, times) if type(v) not in _OPTIONAL_NUMBER_TYPES)
-        raise TraceFormatError(f"{key} must be a number", line_number)
-
     try:
-        return ExternalTraceRecord(prompt_id, block_index, scores, *times, producer)
+        if producer is not None:
+            producer = _producer(producer)
+        if not set(map(type, times)) <= _OPTIONAL_NUMBER_TYPES:
+            key = next(k for k, v in zip(_TIME_KEYS, times) if type(v) not in _OPTIONAL_NUMBER_TYPES)
+            raise ValueError(f"{key} must be a number")
+        scores = tuple(scores) if score_types == _FLOAT_ONLY else _float_scores(scores)
+        times = _checked_values(scores, block_index, times)
     except ValueError as exc:
-        raise TraceFormatError(str(exc), line_number) from exc
+        raise TraceFormatError(str(exc), line_number) from None
+
+    record = _new_record(ExternalTraceRecord)
+    _set_prompt_id(record, prompt_id)
+    _set_block_index(record, block_index)
+    _store_checked(record, scores, times, producer)
+    return record
 
 
 def parse_trace(lines: Iterable[str]) -> list[ExternalTraceRecord]:
@@ -302,9 +374,8 @@ def _group_by_prompt(
     return groups
 
 
-def _check_contiguous(prompt_id: str, blocks: Sequence[ExternalTraceRecord]) -> None:
-    """Require block indices 0..n-1, each once; O(n) in the number of records."""
-    seen = sorted(map(_block_index, blocks))
+def _check_contiguous(prompt_id: str, seen: list[int]) -> None:
+    """Require sorted block indices to be 0..n-1, each once; O(n) in the number of records."""
     if seen == list(range(len(seen))):
         return
     gaps: list[int] = []
@@ -372,15 +443,18 @@ def replay(
     Pure over its inputs: two replays of the same records agree exactly.
     """
     policy = ThresholdPolicy(tau=tau, force_reject_block0=force_reject_block0)
+    # Records hold non-empty finite float scores and non-negative finite
+    # times, and so do latency params, so vectors and traces skip their checks.
+    new_scores = FrameScoreVector.from_checked
+    new_trace = BlockTrace.from_checked
     runs = []
     for prompt_id, group in _group_by_prompt(records).items():
-        _check_contiguous(prompt_id, group)
         group.sort(key=_block_index)
+        _check_contiguous(prompt_id, list(map(_block_index, group)))
         traces: list[BlockTrace] = []
         provenance: list[str] = []
-        for record in group:
-            b = record.block_index
-            scores = FrameScoreVector(b, record.frame_scores)
+        for b, record in enumerate(group):
+            scores = new_scores(b, record.frame_scores)
             q = aggregate(scores, aggregation)
             decision = policy.decide(b, q)
             draft, decode, score = record.draft_time_s, record.decode_time_s, record.score_time_s
@@ -407,18 +481,7 @@ def replay(
                 provenance.append(MODELED if missing == needed else MIXED)
             else:
                 provenance.append(RECORDED)
-            traces.append(
-                BlockTrace(
-                    block_index=b,
-                    decision=decision,
-                    aggregate_score=q,
-                    frame_scores=scores,
-                    draft_time_s=draft,
-                    score_time_s=score,
-                    target_time_s=target,
-                    decode_time_s=decode,
-                )
-            )
+            traces.append(new_trace(b, decision, q, scores, draft, score, target, decode))
 
         summary = summarize_run(prompt_id, traces, latency, quality_fn)
         runs.append(ReplayedRun(summary, tuple(provenance)))

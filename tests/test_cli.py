@@ -4,12 +4,16 @@ import argparse
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import specroute
 from specroute.cli import build_parser, main
 from specroute.core import PromptSpec, default_config, summary_to_dict
 from specroute.engine import run_video_detailed
@@ -394,6 +398,23 @@ class TestSimulate:
         assert "overflow" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
         assert not out.exists() or out.read_text() == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "ablate"])
+    def test_drafter_scores_overflowing_is_validation_error(
+        self, cal_path, tmp_path, capsys, command
+    ):
+        # Exponential frame gaps of mean 1e308 overflow the drafter's scores to inf.
+        doc = json.loads(cal_path.read_text())
+        doc["draft_quality"]["frame_gap_mean"] = 1e308
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        args = [command, "--calibration", str(cal), "--n", "1", "--blocks", "3",
+                "--out", str(out)]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert "block 0: drafter failed: non-finite" in err
+        assert len(err) < 1024
 
     def test_simulated_time_summed_over_prompts_overflowing_is_validation_error(
         self, cal_path, tmp_path, capsys
@@ -785,3 +806,33 @@ class TestFlags:
             and action.dest not in reads[name]
         ]
         assert unread == []
+
+
+class TestStartup:
+    def test_only_fit_imports_scipy(self, cal_path, tmp_path):
+        # A fresh interpreter, since this one has long imported scipy through fit.
+        cal, out = str(cal_path), str(tmp_path)
+        script = f"""
+import sys
+import specroute
+from specroute.cli import main
+assert "scipy" not in sys.modules, "import specroute"
+commands = [
+    ["sweep", "--n", "1", "--calibration", {cal!r}, "--out", {out!r} + "/s.csv"],
+    ["simulate", "--n", "1", "--calibration", {cal!r}, "--out", {out!r} + "/r.jsonl",
+     "--export-trace", {out!r} + "/t.jsonl"],
+    ["ablate", "--n", "1", "--calibration", {cal!r}, "--out", {out!r} + "/a.csv"],
+    ["replay", "--trace", {out!r} + "/t.jsonl", "--tau", "-0.7", "--calibration", {cal!r},
+     "--out", {out!r} + "/p.json"],
+]
+for argv in commands:
+    assert main(argv) in (0, 1), argv[0]
+    assert "scipy" not in sys.modules, argv[0]
+"""
+        src = str(Path(specroute.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]

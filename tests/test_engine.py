@@ -261,6 +261,30 @@ class TestErrorHandling:
         assert err.value.block_index == 0 or err.value.block_index == 1
         assert err.value.stage == "scorer"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("mode", list(AggregationMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("score_forced", [False, True], ids=["forced_unscored", "forced_scored"])
+    def test_non_finite_score_names_its_block(self, stack, calibration, bad, mode, score_forced):
+        class NonFiniteScorer(SyntheticScorer):
+            def score(self, frame, prompt):
+                return bad
+
+        # Block 0 is force-rejected, so it is scored only when forced rejections are.
+        config = GenerationConfig(num_blocks=3, score_forced_rejections=score_forced)
+        block = 0 if score_forced else 1
+        with pytest.raises(ValueError, match=f"^non-finite frame score in block {block}$"):
+            run_video_detailed(
+                config,
+                PromptSpec("p0"),
+                stack.drafter,
+                stack.target,
+                stack.decoder,
+                NonFiniteScorer(),
+                ThresholdPolicy(),
+                aggregation=mode,
+                latency=calibration.latency,
+            )
+
     def test_missing_latency_rejected(self, stack, config):
         with pytest.raises(ValueError):
             run_video_detailed(

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specroute.core import PromptSpec, Verdict
+from specroute.core import Producer, PromptSpec, Verdict
 from specroute.costmodel import LatencyParams, OverlapMode, simulate_time
 from specroute.engine import run_video_detailed
 from specroute.router import AggregationMode, ThresholdPolicy
@@ -60,6 +61,35 @@ class TestRecordValidation:
         with pytest.raises(ValueError):
             ExternalTraceRecord(
                 prompt_id="p", block_index=0, frame_scores=(0.1,), draft_time_s=-1.0
+            )
+
+    @pytest.mark.parametrize("prompt_id", ["", 7, None, b"p"], ids=["empty", "int", "none", "bytes"])
+    def test_prompt_id_must_be_a_non_empty_string(self, prompt_id):
+        with pytest.raises(ValueError, match="^prompt_id must be a non-empty string$"):
+            ExternalTraceRecord(prompt_id=prompt_id, block_index=0, frame_scores=(0.1,))
+
+    @pytest.mark.parametrize("block_index", [True, False, 1.5, 2.0, "3", None],
+                             ids=["true", "false", "fraction", "whole_float", "str", "none"])
+    def test_block_index_must_be_an_integer(self, block_index):
+        with pytest.raises(ValueError, match="^block_index must be an integer$"):
+            ExternalTraceRecord(prompt_id="p", block_index=block_index, frame_scores=(0.1,))
+
+    def test_producer_given_by_value_is_converted(self):
+        record = ExternalTraceRecord(
+            prompt_id="p", block_index=0, frame_scores=(0.1,), producer_observed="draft"
+        )
+        assert record.producer_observed is Producer.DRAFT
+        assert serialize_record(record) == (
+            '{"block_index":0,"frame_scores":[0.1],"producer_observed":"draft","prompt_id":"p"}'
+        )
+
+    @pytest.mark.parametrize("producer", ["vae", "DRAFT", 1, ["draft"]],
+                             ids=["unknown", "name", "int", "list"])
+    def test_unknown_producer_rejected(self, producer):
+        message = f"^producer_observed must be 'draft' or 'target', got {re.escape(repr(producer))}$"
+        with pytest.raises(ValueError, match=message):
+            ExternalTraceRecord(
+                prompt_id="p", block_index=0, frame_scores=(0.1,), producer_observed=producer
             )
 
 
@@ -166,19 +196,33 @@ class TestParse:
             parse_trace_file(path)
 
 
-record_strategy = st.builds(
-    ExternalTraceRecord,
-    prompt_id=st.text(
-        alphabet=st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=8
-    ),
-    block_index=st.integers(min_value=0, max_value=20),
-    frame_scores=st.lists(
-        st.floats(min_value=-20, max_value=20, allow_nan=False), min_size=1, max_size=12
-    ).map(tuple),
-    draft_time_s=st.none() | st.floats(min_value=0, max_value=100, allow_nan=False),
-    target_time_s=st.none() | st.floats(min_value=0, max_value=100, allow_nan=False),
-    decode_time_s=st.none() | st.floats(min_value=0, max_value=100, allow_nan=False),
-    score_time_s=st.none() | st.floats(min_value=0, max_value=100, allow_nan=False),
+prompt_ids = st.text(
+    alphabet=st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=8
+)
+record_fields = st.fixed_dictionaries(
+    {
+        "prompt_id": prompt_ids,
+        "block_index": st.integers(min_value=0, max_value=20),
+        "frame_scores": st.lists(
+            st.floats(min_value=-20, max_value=20, allow_nan=False), min_size=1, max_size=12
+        ).map(tuple),
+        "draft_time_s": st.none() | st.floats(min_value=0, max_value=100, allow_nan=False),
+        "target_time_s": st.none() | st.floats(min_value=0, max_value=100, allow_nan=False),
+        "decode_time_s": st.none() | st.floats(min_value=0, max_value=100, allow_nan=False),
+        "score_time_s": st.none() | st.floats(min_value=0, max_value=100, allow_nan=False),
+        "producer_observed": st.none() | st.sampled_from(Producer),
+    }
+)
+record_strategy = record_fields.map(lambda fields: ExternalTraceRecord(**fields))
+
+# Valid values and ones the trace format rejects, for the fields the parser checks by type.
+any_prompt_id = prompt_ids | st.sampled_from(["", 7, None, b"p", True])
+any_block_index = (
+    st.integers(min_value=-3, max_value=20)
+    | st.sampled_from([True, False, 1.5, 2.0, "3", None, 10**400])
+)
+any_producer = st.none() | st.sampled_from(
+    [*Producer, "draft", "target", "vae", "DRAFT", "", 1, True, ["draft"]]
 )
 
 
@@ -191,6 +235,23 @@ class TestRoundTrip:
         assert parsed == records
         assert serialize_records(parsed) == text
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fields=record_fields,
+        prompt_id=any_prompt_id,
+        block_index=any_block_index,
+        producer=any_producer,
+    )
+    def test_a_constructed_record_round_trips_or_is_refused(
+        self, fields, prompt_id, block_index, producer
+    ):
+        fields.update(prompt_id=prompt_id, block_index=block_index, producer_observed=producer)
+        try:
+            record = ExternalTraceRecord(**fields)
+        except ValueError:
+            return
+        assert parse_trace_text(serialize_record(record) + "\n") == [record]
+
     def test_serialization_canonicalizes_formatting(self):
         loose = (
             '{ "frame_scores": [0.5, 0.25],  "block_index": 0, "prompt_id": "p0" }\n'
@@ -202,6 +263,89 @@ class TestRoundTrip:
         )
         # normalize(x) is a fixed point
         assert serialize_records(parse_trace_text(canonical)) == canonical
+
+
+_BIG = "1" + "0" * 400  # 10**400, an integer no float holds
+_TIME_ERRORS = [
+    ('"1.0"', "{} must be a number"),
+    ("true", "{} must be a number"),
+    ("[1.0]", "{} must be a number"),
+    ("{}", "{} must be a number"),
+    ("-1.0", "{} must be a non-negative finite number"),
+    ("-1", "{} must be a non-negative finite number"),
+    ("NaN", "{} must be a non-negative finite number"),
+    ("Infinity", "{} must be a non-negative finite number"),
+    ("1e400", "{} must be a non-negative finite number"),
+    (_BIG, "{} must fit in a float"),
+    ("-" + _BIG, "{} must fit in a float"),
+]
+# (field, JSON text that replaces its value, the parser's message without "line 1: ").
+# A value of None drops the field.
+CORRUPTIONS = [
+    ("prompt_id", "7", "prompt_id must be a non-empty string"),
+    ("prompt_id", '""', "prompt_id must be a non-empty string"),
+    ("prompt_id", "null", "prompt_id must be a non-empty string"),
+    ("prompt_id", '["p"]', "prompt_id must be a non-empty string"),
+    ("prompt_id", None, "missing required fields ['prompt_id']"),
+    ("block_index", '"3"', "block_index must be an integer"),
+    ("block_index", "true", "block_index must be an integer"),
+    ("block_index", "false", "block_index must be an integer"),
+    ("block_index", "1.5", "block_index must be an integer"),
+    ("block_index", "2.0", "block_index must be an integer"),
+    ("block_index", "null", "block_index must be an integer"),
+    ("block_index", "-1", "block_index must be >= 0, got -1"),
+    ("block_index", "-" + _BIG, f"block_index must be >= 0, got -{_BIG}"),
+    ("block_index", None, "missing required fields ['block_index']"),
+    ("frame_scores", "[]", "frame_scores must be a non-empty array"),
+    ("frame_scores", "0.5", "frame_scores must be a non-empty array"),
+    ("frame_scores", '"0.5"', "frame_scores must be a non-empty array"),
+    ("frame_scores", "{}", "frame_scores must be a non-empty array"),
+    ("frame_scores", "null", "frame_scores must be a non-empty array"),
+    ("frame_scores", "[true]", "frame_scores must contain only numbers"),
+    ("frame_scores", "[0.5, false]", "frame_scores must contain only numbers"),
+    ("frame_scores", "[null]", "frame_scores must contain only numbers"),
+    ("frame_scores", '["0.5"]', "frame_scores must contain only numbers"),
+    ("frame_scores", "[[0.5]]", "frame_scores must contain only numbers"),
+    ("frame_scores", "[NaN]", "frame_scores must be finite"),
+    ("frame_scores", "[0.5, Infinity]", "frame_scores must be finite"),
+    ("frame_scores", "[-Infinity, 0.5]", "frame_scores must be finite"),
+    ("frame_scores", "[1e400]", "frame_scores must be finite"),
+    ("frame_scores", f"[0.5, {_BIG}]", "frame_scores must fit in a float"),
+    ("frame_scores", None, "missing required fields ['frame_scores']"),
+    ("producer_observed", '"vae"', "producer_observed must be 'draft' or 'target', got 'vae'"),
+    ("producer_observed", '"DRAFT"', "producer_observed must be 'draft' or 'target', got 'DRAFT'"),
+    ("producer_observed", '""', "producer_observed must be 'draft' or 'target', got ''"),
+    ("producer_observed", "1", "producer_observed must be 'draft' or 'target', got 1"),
+    ("producer_observed", "true", "producer_observed must be 'draft' or 'target', got True"),
+    ("producer_observed", '["draft"]',
+     "producer_observed must be 'draft' or 'target', got ['draft']"),
+    ("gpu", "1", "unknown fields ['gpu']"),
+    ("Prompt_id", '"p0"', "unknown fields ['Prompt_id']"),
+] + [
+    (key, literal, message.format(key))
+    for key in ("draft_time_s", "target_time_s", "decode_time_s", "score_time_s")
+    for literal, message in _TIME_ERRORS
+]
+
+
+def _json_line(fields: dict[str, str]) -> str:
+    return "{" + ",".join(f"{json.dumps(k)}:{v}" for k, v in fields.items()) + "}\n"
+
+
+class TestCorruptedRecord:
+    @settings(max_examples=300, deadline=None)
+    @given(record=record_strategy, corruption=st.sampled_from(CORRUPTIONS))
+    def test_one_corrupted_field_gives_its_message(self, record, corruption):
+        key, literal, message = corruption
+        fields = {k: json.dumps(v) for k, v in json.loads(serialize_record(record)).items()}
+        if literal is None:
+            del fields[key]
+        else:
+            fields[key] = literal
+        with pytest.raises(TraceFormatError) as exc:
+            parse_trace_text(_json_line(fields))
+        assert str(exc.value) == f"line 1: {message}"
+        assert exc.value.line_number == 1
 
 
 class TestReplay:
