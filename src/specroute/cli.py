@@ -11,8 +11,7 @@ Exit codes:
     4  validation error (well-formed input violating an invariant)
     5  calibration failure (infeasible fit or residuals over tolerance)
 
-SPECROUTE_CALIBRATION sets the default calibration path; SPECROUTE_CI=1
-makes --seed mandatory.
+SPECROUTE_CALIBRATION sets the default calibration path.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ EXIT_VALIDATION = 4
 EXIT_CALIBRATION = 5
 
 CALIBRATION_ENV = "SPECROUTE_CALIBRATION"
-CI_ENV = "SPECROUTE_CI"
 
 DEFAULT_SWEEP_TAUS = (-0.7, -0.8, -0.9, -1.0, -1.5, -2.0, -2.5)
 
@@ -115,14 +113,6 @@ def _write_text(flag: str, path: str, text: str) -> None:
         return
     with _output(flag, path) as write:
         write(text)
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is None:
-        if os.environ.get(CI_ENV):
-            raise CliFailure(EXIT_USAGE, "--seed is mandatory when SPECROUTE_CI is set")
-        return GenerationConfig.seed
-    return args.seed
 
 
 def _load_calibration(args) -> Calibration:
@@ -184,12 +174,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    seed = _resolve_seed(args)
     calibration = _load_calibration(args)
     # Exported records need per-frame scores on every block, including
     # force-rejected ones.
     config = GenerationConfig(
-        num_blocks=args.blocks, seed=seed, score_forced_rejections=bool(args.export_trace)
+        num_blocks=args.blocks, seed=args.seed, score_forced_rejections=bool(args.export_trace)
     )
     arm = _simulate_arm(args)
 
@@ -251,15 +240,16 @@ def _simulate_arm(args) -> ArmSpec:
 
 
 def cmd_sweep(args) -> int:
-    seed = _resolve_seed(args)
     calibration = _load_calibration(args)
     taus = tuple(args.tau_list) if args.tau_list else DEFAULT_SWEEP_TAUS
     try:
-        spec = SweepSpec(thresholds=taus, num_prompts=args.n, seed=seed, num_blocks=args.blocks)
+        spec = SweepSpec(
+            thresholds=taus, num_prompts=args.n, seed=args.seed, num_blocks=args.blocks
+        )
     except ValueError as exc:
         raise CliFailure(EXIT_USAGE, str(exc)) from exc
 
-    _info(f"sweeping {len(taus)} thresholds x {args.n} prompts (seed {seed})")
+    _info(f"sweeping {len(taus)} thresholds x {args.n} prompts (seed {args.seed})")
     try:
         rows = run_sweep(spec, calibration, jobs=args.jobs)
     except (ValueError, BlockExecutionError) as exc:
@@ -270,18 +260,17 @@ def cmd_sweep(args) -> int:
     for line in report.lines():
         _info(line)
     if args.out_json:
-        doc = rows_to_json_dict(rows, report, meta={"seed": seed, "num_prompts": args.n})
+        doc = rows_to_json_dict(rows, report, meta={"seed": args.seed, "num_prompts": args.n})
         _write_text("--out-json", args.out_json, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0 if report.ok else EXIT_PARETO
 
 
 def cmd_ablate(args) -> int:
-    seed = _resolve_seed(args)
     calibration = _load_calibration(args)
     arms = [target_only_arm()] + ablation_arms() + [draft_only_arm()]
-    _info(f"running {len(arms)} ablation arms x {args.n} prompts (seed {seed})")
+    _info(f"running {len(arms)} ablation arms x {args.n} prompts (seed {args.seed})")
     try:
-        rows = run_arms(arms, args.n, seed, calibration, args.blocks, jobs=args.jobs)
+        rows = run_arms(arms, args.n, args.seed, calibration, args.blocks, jobs=args.jobs)
     except (ValueError, BlockExecutionError) as exc:
         # Such as a calibration that gives an arm zero simulated time or breaks a model.
         raise CliFailure(EXIT_VALIDATION, str(exc)) from exc
@@ -377,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=_int_at_least(0), default=None,
+        p.add_argument("--seed", type=_int_at_least(0), default=GenerationConfig.seed,
                        help=f"master seed, >= 0 (default {GenerationConfig.seed})")
         p.add_argument("--calibration", default=None,
                        help=f"calibration file (default ${CALIBRATION_ENV})")

@@ -6,6 +6,10 @@ factor), and every rejected block additionally pays the target cost.
 Target-cost includes the rejected-path emission decode; only the sum of
 draft and decode costs is identifiable from end-to-end times, so the
 split between c_draft and c_decode is an attribution convention.
+
+LatencyParams.block_times is the one home of a block's modelled cost:
+every BlockTrace the engine builds takes its times from it, and so does
+replay for each timing a trace record lacks.
 """
 
 from __future__ import annotations
@@ -72,6 +76,20 @@ class LatencyParams:
     @property
     def overlap_factor(self) -> float:
         return 0.0 if self.overlap_mode is OverlapMode.SCORING_OVERLAPPED else 1.0
+
+    def block_times(
+        self, accepted: bool, scored: bool, drafted: bool = True
+    ) -> tuple[float, float, float, float]:
+        """Modelled (draft, score, target, decode) seconds of one block.
+
+        A drafted block pays c_draft and c_decode, c_score if it was
+        scored, and c_target unless it was accepted. A block that is not
+        drafted is generated by the target alone and pays c_target only.
+        """
+        if not drafted:
+            return 0.0, 0.0, self.c_target, 0.0
+        score = self.c_score if scored else 0.0
+        return self.c_draft, score, 0.0 if accepted else self.c_target, self.c_decode
 
     @property
     def draft_path_cost(self) -> float:

@@ -283,14 +283,13 @@ def _run_lane_block(
     for k in lane.arms:
         arm = arms[k]
         policy = arm.policy
+        q: float | None = None
+        scored = False
         if not arm.draft_enabled:
             decision = policy.decide(b, None)
             if decision.verdict is not Verdict.REJECT:
                 raise ValueError("draft_enabled=False requires a policy that rejects every block")
-            trace = BlockTrace(block_index=b, decision=decision, target_time_s=latency.c_target)
         else:
-            q: float | None = None
-            score_time = 0.0
             scored = config.score_forced_rejections or not policy.forces_rejection(b)
             if scored:
                 if scores is None:
@@ -302,20 +301,11 @@ def _run_lane_block(
                 q = q_by_mode.get(arm.aggregation)
                 if q is None:
                     q = q_by_mode[arm.aggregation] = aggregate(scores, arm.aggregation)
-                score_time = latency.c_score
             decision = policy.decide(b, q)
-            trace = BlockTrace(
-                block_index=b,
-                decision=decision,
-                aggregate_score=q,
-                frame_scores=scores if scored else None,
-                draft_time_s=latency.c_draft,
-                score_time_s=score_time,
-                target_time_s=0.0 if decision.verdict is Verdict.ACCEPT else latency.c_target,
-                decode_time_s=latency.c_decode,
-            )
-        traces[k].append(trace)
-        (accepting if decision.verdict is Verdict.ACCEPT else rejecting).append(k)
+        accepted = decision.verdict is Verdict.ACCEPT
+        times = latency.block_times(accepted, scored, arm.draft_enabled)
+        traces[k].append(BlockTrace(b, decision, q, scores if scored else None, *times))
+        (accepting if accepted else rejecting).append(k)
 
     rejected = lane
     if accepting and rejecting:

@@ -20,13 +20,16 @@ Record format (one JSON object per line, unknown keys rejected):
     optional  score_time_s       number >= 0
     optional  producer_observed  "draft" | "target"
 
-Each rule is checked once, where the value enters. The parser checks JSON
-types; the record checks values (the constructor enforces the same rules
-with the same messages, so any record it accepts serializes to a line the
-parser accepts); FrameScoreVector checks that scores are non-empty and
-finite. The parser builds each record from the values it has checked,
-without running the constructor's checks again, and `replay` builds each
-block's score vector and trace from the record's checked values.
+Each rule is checked once, where the value enters. One checker holds the
+record rules, types and values alike, and both the parser and the
+ExternalTraceRecord constructor call it, so a record a pipeline builds
+serializes to a line the parser accepts and a refused one gets the
+parser's message. Types are compared exactly: true is not a number, and a
+string or numpy scalar is not one either. The parser checks only the keys
+itself, then builds each record from the checker's values without running
+it again; FrameScoreVector checks that engine scores are non-empty and
+finite, and `replay` builds each block's score vector and trace from the
+record's checked values.
 
 `parse_trace` reads its input line by line but returns every record in
 one list, and `replay` groups that list by prompt before routing, so
@@ -75,13 +78,12 @@ _REQUIRED_KEYS = frozenset({"prompt_id", "block_index", "frame_scores"})
 # In ExternalTraceRecord field order.
 _TIME_KEYS = ("draft_time_s", "target_time_s", "decode_time_s", "score_time_s")
 _KNOWN_KEYS = _REQUIRED_KEYS | set(_TIME_KEYS) | {"producer_observed"}
+_ARRAY_TYPES = frozenset({list, tuple})
 _NUMBER_TYPES = frozenset({int, float})
 _FLOAT_ONLY = frozenset({float})
 _OPTIONAL_NUMBER_TYPES = _NUMBER_TYPES | {type(None)}
 # What Producer(...) accepts other than a Producer: its values.
 _PRODUCERS = {p.value: p for p in Producer}
-_BAD_PROMPT_ID = "prompt_id must be a non-empty string"
-_BAD_BLOCK_INDEX = "block_index must be an integer"
 _new_record = object.__new__
 
 RECORDED = "recorded"
@@ -102,11 +104,13 @@ class TraceFormatError(ValueError):
 class ExternalTraceRecord:
     """Per-block observation exported by a real (or simulated) pipeline.
 
-    Construction enforces the value rules the parser does, with its
-    messages: a non-empty string prompt id, a non-negative integer block
-    index (not a bool), non-empty finite frame scores, non-negative finite
-    times, and a producer that Producer(...) accepts. It converts every
-    number to float once.
+    Construction runs the parser's own checker, so it accepts exactly the
+    values a trace line may hold and refuses the rest with the parser's
+    messages: a non-empty string prompt id, an int block index >= 0 (not a
+    bool), a non-empty list or tuple of int or float scores, each finite,
+    int, float or None times, each non-negative and finite, and a producer
+    that Producer(...) accepts. Strings, bools and numpy scalars are
+    refused. Scores and times are stored as floats.
     """
 
     prompt_id: str
@@ -119,39 +123,17 @@ class ExternalTraceRecord:
     producer_observed: Producer | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.prompt_id, str) or not self.prompt_id:
-            raise ValueError(_BAD_PROMPT_ID)
-        block_index = self.block_index
-        if not isinstance(block_index, int) or isinstance(block_index, bool):
-            raise ValueError(_BAD_BLOCK_INDEX)
-        producer = self.producer_observed
-        if producer is not None and type(producer) is not Producer:
-            producer = _producer(producer)
-        scores = _float_scores(self.frame_scores)
         times = (self.draft_time_s, self.target_time_s, self.decode_time_s, self.score_time_s)
-        _store_checked(self, scores, _checked_values(scores, block_index, times), producer)
+        _check_record(
+            self, self.prompt_id, self.block_index, self.frame_scores, times,
+            self.producer_observed,
+        )
 
 
 # Slot setters, so a record can be filled with checked values without __post_init__.
-(
-    _set_prompt_id, _set_block_index, _set_frame_scores, _set_draft_time,
-    _set_target_time, _set_decode_time, _set_score_time, _set_producer,
-) = (vars(ExternalTraceRecord)[f.name].__set__ for f in fields(ExternalTraceRecord))
-
-
-def _store_checked(
-    record: ExternalTraceRecord,
-    scores: tuple[float, ...],
-    times: tuple[float | None, ...],
-    producer: Producer | None,
-) -> None:
-    _set_frame_scores(record, scores)
-    draft, target, decode, score = times
-    _set_draft_time(record, draft)
-    _set_target_time(record, target)
-    _set_decode_time(record, decode)
-    _set_score_time(record, score)
-    _set_producer(record, producer)
+_set_prompt_id, _set_block_index, _set_frame_scores, *_TIME_SETTERS, _set_producer = (
+    vars(ExternalTraceRecord)[f.name].__set__ for f in fields(ExternalTraceRecord)
+)
 
 
 def _producer(value: object) -> Producer:
@@ -163,25 +145,47 @@ def _producer(value: object) -> Producer:
         ) from None
 
 
-def _float_scores(scores: Iterable) -> tuple[float, ...]:
+def _check_record(
+    record: ExternalTraceRecord,
+    prompt_id: object,
+    block_index: object,
+    scores: object,
+    times: tuple,
+    producer: object,
+) -> None:
+    """Check one record's values and store them in its slots, numbers as floats.
+
+    The one checker of the record rules, for the parser and the
+    constructor alike. Types are compared exactly, as JSON yields them:
+    true and false are not integers or numbers here. The first failing
+    rule raises its ValueError.
+    """
+    if not isinstance(prompt_id, str) or not prompt_id:
+        raise ValueError("prompt_id must be a non-empty string")
+    if type(block_index) is not int:
+        raise ValueError("block_index must be an integer")
+    if type(scores) not in _ARRAY_TYPES or not scores:
+        raise ValueError("frame_scores must be a non-empty array")
+    score_types = set(map(type, scores))
+    if not score_types <= _NUMBER_TYPES:
+        raise ValueError("frame_scores must contain only numbers")
+    if producer is not None and type(producer) is not Producer:
+        producer = _producer(producer)
+    if not set(map(type, times)) <= _OPTIONAL_NUMBER_TYPES:
+        key = next(k for k, v in zip(_TIME_KEYS, times) if type(v) not in _OPTIONAL_NUMBER_TYPES)
+        raise ValueError(f"{key} must be a number")
     try:
-        return tuple(map(float, scores))
+        scores = tuple(scores) if score_types == _FLOAT_ONLY else tuple(map(float, scores))
     except OverflowError:
         raise ValueError("frame_scores must fit in a float") from None
-
-
-def _checked_values(
-    scores: tuple[float, ...], block_index: int, times: tuple
-) -> tuple[float | None, ...]:
-    """Check a record's values in the parser's order; return its times as floats or None."""
-    if not scores:
-        raise ValueError("frame_scores must be non-empty")
     if not all_finite(scores):
         raise ValueError("frame_scores must be finite")
     if block_index < 0:
         raise ValueError(f"block_index must be >= 0, got {block_index}")
-    checked = []
-    for name, val in zip(_TIME_KEYS, times):
+    _set_prompt_id(record, prompt_id)
+    _set_block_index(record, block_index)
+    _set_frame_scores(record, scores)
+    for name, set_time, val in zip(_TIME_KEYS, _TIME_SETTERS, times):
         if val is not None:
             if type(val) is not float:
                 try:
@@ -191,16 +195,12 @@ def _checked_values(
             # Also false for NaN.
             if not 0.0 <= val < math.inf:
                 raise ValueError(f"{name} must be a non-negative finite number")
-        checked.append(val)
-    return tuple(checked)
+        set_time(record, val)
+    _set_producer(record, producer)
 
 
 def _record_from_obj(obj: object, line_number: int) -> ExternalTraceRecord:
-    """Check one JSON record's shape, then its values, and build it without rechecking.
-
-    JSON yields exact types, so the shape checks compare types directly:
-    true and false are not integers or numbers here.
-    """
+    """Check one JSON record's keys, then its values, and build it without rechecking."""
     if not isinstance(obj, dict):
         raise TraceFormatError("record must be a JSON object", line_number)
     if not obj.keys() <= _KNOWN_KEYS:
@@ -209,36 +209,14 @@ def _record_from_obj(obj: object, line_number: int) -> ExternalTraceRecord:
     if not obj.keys() >= _REQUIRED_KEYS:
         missing = _REQUIRED_KEYS - obj.keys()
         raise TraceFormatError(f"missing required fields {sorted(missing)}", line_number)
-    prompt_id = obj["prompt_id"]
-    if not isinstance(prompt_id, str) or not prompt_id:
-        raise TraceFormatError(_BAD_PROMPT_ID, line_number)
-    block_index = obj["block_index"]
-    if type(block_index) is not int:
-        raise TraceFormatError(_BAD_BLOCK_INDEX, line_number)
-    scores = obj["frame_scores"]
-    if type(scores) is not list or not scores:
-        raise TraceFormatError("frame_scores must be a non-empty array", line_number)
-    score_types = set(map(type, scores))
-    if not score_types <= _NUMBER_TYPES:
-        raise TraceFormatError("frame_scores must contain only numbers", line_number)
-
-    producer = obj.get("producer_observed")
-    times = tuple(map(obj.get, _TIME_KEYS))
+    record = _new_record(ExternalTraceRecord)
     try:
-        if producer is not None:
-            producer = _producer(producer)
-        if not set(map(type, times)) <= _OPTIONAL_NUMBER_TYPES:
-            key = next(k for k, v in zip(_TIME_KEYS, times) if type(v) not in _OPTIONAL_NUMBER_TYPES)
-            raise ValueError(f"{key} must be a number")
-        scores = tuple(scores) if score_types == _FLOAT_ONLY else _float_scores(scores)
-        times = _checked_values(scores, block_index, times)
+        _check_record(
+            record, obj["prompt_id"], obj["block_index"], obj["frame_scores"],
+            tuple(map(obj.get, _TIME_KEYS)), obj.get("producer_observed"),
+        )
     except ValueError as exc:
         raise TraceFormatError(str(exc), line_number) from None
-
-    record = _new_record(ExternalTraceRecord)
-    _set_prompt_id(record, prompt_id)
-    _set_block_index(record, block_index)
-    _store_checked(record, scores, times, producer)
     return record
 
 
@@ -457,10 +435,11 @@ def replay(
             scores = new_scores(b, record.frame_scores)
             q = aggregate(scores, aggregation)
             decision = policy.decide(b, q)
+            accepted = decision.verdict is Verdict.ACCEPT
             draft, decode, score = record.draft_time_s, record.decode_time_s, record.score_time_s
             needed = 3
             missing = (draft is None) + (decode is None) + (score is None)
-            if decision.verdict is Verdict.ACCEPT:
+            if accepted:
                 target = 0.0
             else:
                 # A recorded 0 means the factual run accepted this block.
@@ -470,14 +449,18 @@ def replay(
             if missing:
                 if latency is None:
                     raise _no_fallback(prompt_id, b, (draft, decode, score, target))
+                # Every replayed block carries scores, so the model counts it as scored.
+                model_draft, model_score, model_target, model_decode = latency.block_times(
+                    accepted, scored=True
+                )
                 if draft is None:
-                    draft = latency.c_draft
+                    draft = model_draft
                 if decode is None:
-                    decode = latency.c_decode
+                    decode = model_decode
                 if score is None:
-                    score = latency.c_score
+                    score = model_score
                 if target is None:
-                    target = latency.c_target
+                    target = model_target
                 provenance.append(MODELED if missing == needed else MIXED)
             else:
                 provenance.append(RECORDED)

@@ -359,13 +359,6 @@ class TestSimulate:
         assert main(args) == 0
         assert len(json.loads(out.read_text())["block_traces"]) == 3
 
-    def test_ci_mode_requires_seed(self, cal_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPECROUTE_CI", "1")
-        args = ["simulate", "--calibration", str(cal_path), "--n", "1",
-                "--out", str(tmp_path / "r.jsonl")]
-        assert main(args) == 2
-        assert main(args + ["--seed", "7"]) == 0
-
     @pytest.mark.parametrize("command", ["simulate", "sweep", "ablate"])
     def test_negative_seed_is_usage_error(self, cal_path, tmp_path, capsys, command):
         out = tmp_path / "o"

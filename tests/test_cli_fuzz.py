@@ -230,40 +230,38 @@ NO_EDITS = {"cal": None, "table": None, "trace": None}
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(argv=argvs, files=contents, ci=st.booleans())
+@given(argv=argvs, files=contents)
 @example(argv=["sweep", "--calibration", "@cal", "--n", "1", "--blocks", "1",
                "--out", "@out", "--out-json", "@out_json"],
-         files={**NO_EDITS, "cal": HUGE_LATENCY}, ci=False)
+         files={**NO_EDITS, "cal": HUGE_LATENCY})
 @example(argv=["sweep", "--calibration", "@cal", "--n", "2", "--blocks", "3", "--out", "@out"],
-         files={**NO_EDITS, "cal": [(("latency", "c_target"), 5e307)]}, ci=False)
+         files={**NO_EDITS, "cal": [(("latency", "c_target"), 5e307)]})
 @example(argv=["simulate", "--calibration", "@cal", "--n", "1", "--blocks", "1", "--out", "@out"],
-         files={**NO_EDITS, "cal": HUGE_LATENCY}, ci=False)
+         files={**NO_EDITS, "cal": HUGE_LATENCY})
 @example(argv=["replay", "--trace", "@trace", "--tau", "-1", "--out", "@out"],
-         files={**NO_EDITS, "trace": OVERFLOW_TRACE}, ci=False)
+         files={**NO_EDITS, "trace": OVERFLOW_TRACE})
 @example(argv=["simulate", "--calibration", "@cal", "--n", "1", "--seed", "-1"],
-         files=NO_EDITS, ci=False)
+         files=NO_EDITS)
 @example(argv=["ablate", "--calibration", "@cal", "--n", "1", "--blocks", "1", "--out", "@out"],
-         files={**NO_EDITS, "cal": [(("draft_quality", "frame_gap_mean"), 1e308)]}, ci=False)
+         files={**NO_EDITS, "cal": [(("draft_quality", "frame_gap_mean"), 1e308)]})
 @example(argv=["fit", "--table", "@table", "--out", "@out"],
-         files={**NO_EDITS, "table": HUGE_INTEGER}, ci=False)
+         files={**NO_EDITS, "table": HUGE_INTEGER})
 @example(argv=["fit", "--table", "@table", "--out", "@out"],
-         files={**NO_EDITS, "table": [(("main", 0, "vr"), 10**400)]}, ci=False)
+         files={**NO_EDITS, "table": [(("main", 0, "vr"), 10**400)]})
 @example(argv=["sweep", "--calibration", "@cal", "--n", "1", "--blocks", "2", "--out", "@out"],
-         files={**NO_EDITS, "cal": [(("quality_proxy", "base_quality"), float("nan"))]}, ci=False)
+         files={**NO_EDITS, "cal": [(("quality_proxy", "base_quality"), float("nan"))]})
 @example(argv=["sweep", "--calibration", "@cal", "--n", "1", "--blocks", "3", "--out", "@out"],
-         files={**NO_EDITS, "cal": HUGE_PENALTIES}, ci=False)
+         files={**NO_EDITS, "cal": HUGE_PENALTIES})
 @example(argv=["replay", "--trace", "@trace", "--tau", "-1", "--aggregation", "mean_frame",
                "--out", "@out"],
-         files={**NO_EDITS, "trace": OVERFLOW_MEAN_TRACE}, ci=False)
-def test_cli_never_crashes(workdir, argv, files, ci):
+         files={**NO_EDITS, "trace": OVERFLOW_MEAN_TRACE})
+def test_cli_never_crashes(workdir, argv, files):
     _write_inputs(workdir, files)
     outputs = [workdir / "out", workdir / "out_json"]
     for path in outputs:
         path.unlink(missing_ok=True)
     argv = [_resolve(token, workdir) for token in argv]
     env = {k: v for k, v in os.environ.items() if not k.startswith("SPECROUTE_")}
-    if ci:
-        env["SPECROUTE_CI"] = "1"
     stdout, stderr = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, env, clear=True), \
             mock.patch.object(sweep, "ProcessPoolExecutor", _InlineExecutor), \

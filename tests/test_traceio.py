@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -328,6 +329,13 @@ CORRUPTIONS = [
 ]
 
 
+# The rows that name a record field and give it a value: the constructor's keywords.
+CONSTRUCTOR_CORRUPTIONS = [
+    row for row in CORRUPTIONS
+    if row[1] is not None and row[0] in {f.name for f in dataclasses.fields(ExternalTraceRecord)}
+]
+
+
 def _json_line(fields: dict[str, str]) -> str:
     return "{" + ",".join(f"{json.dumps(k)}:{v}" for k, v in fields.items()) + "}\n"
 
@@ -346,6 +354,16 @@ class TestCorruptedRecord:
             parse_trace_text(_json_line(fields))
         assert str(exc.value) == f"line 1: {message}"
         assert exc.value.line_number == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(record=record_strategy, corruption=st.sampled_from(CONSTRUCTOR_CORRUPTIONS))
+    def test_the_constructor_refuses_with_the_parsers_message(self, record, corruption):
+        key, literal, message = corruption
+        fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+        fields[key] = json.loads(literal)
+        with pytest.raises(ValueError) as exc:
+            ExternalTraceRecord(**fields)
+        assert str(exc.value) == message
 
 
 class TestReplay:
