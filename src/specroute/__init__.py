@@ -26,9 +26,7 @@ from .core import (
     LatentBlock,
     Producer,
     PromptSpec,
-    RoutingDecision,
     RunSummary,
-    Verdict,
     default_config,
     pixel_frame_count,
 )

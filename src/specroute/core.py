@@ -2,7 +2,8 @@
 
 Everything downstream (caches, router, engine, cost model, sweep harness)
 imports its vocabulary from this module: the generation protocol constants,
-the per-block payloads, the routing verdict record, and the per-run summary.
+the per-block payloads, the routing decision (a DecisionReason, which also
+says whether the block was accepted), and the per-run summary.
 All types are immutable value objects after construction and safe to share
 across threads.
 """
@@ -19,14 +20,12 @@ import numpy as np
 __all__ = [
     "ConfigError",
     "Producer",
-    "Verdict",
     "DecisionReason",
     "GenerationConfig",
     "PromptSpec",
     "LatentBlock",
     "DecodedFrames",
     "FrameScoreVector",
-    "RoutingDecision",
     "BlockTrace",
     "RunSummary",
     "default_config",
@@ -50,35 +49,30 @@ class Producer(str, Enum):
     TARGET = "target"
 
 
-class Verdict(str, Enum):
-    ACCEPT = "accept"
-    REJECT = "reject"
-
-
 class DecisionReason(str, Enum):
-    """Why the router reached its verdict.
+    """The router's decision for one block, named by why it was reached.
 
-    Accept verdicts pair only with ABOVE_THRESHOLD, RANDOM_ACCEPT, or
-    ALWAYS_ACCEPT; every other reason implies a rejection. Random draws
-    get distinct accept/reject reasons so audit records stay unambiguous.
+    Each reason fixes the verdict, held in the member's `accepted`
+    attribute: ABOVE_THRESHOLD, RANDOM_ACCEPT and ALWAYS_ACCEPT accept the
+    draft, and every other reason rejects it. Random draws get distinct
+    accept/reject reasons so audit records stay unambiguous.
     """
 
-    ABOVE_THRESHOLD = "above_threshold"
-    BELOW_THRESHOLD = "below_threshold"
-    FORCED_FIRST_BLOCK = "forced_first_block"
-    RANDOM_ACCEPT = "random_accept"
-    RANDOM_REJECT = "random_reject"
-    ALWAYS_ACCEPT = "always_accept"
-    ALWAYS_REJECT = "always_reject"
+    accepted: bool
 
+    def __new__(cls, value: str, accepted: bool) -> DecisionReason:
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.accepted = accepted
+        return member
 
-ACCEPT_REASONS = frozenset(
-    {
-        DecisionReason.ABOVE_THRESHOLD,
-        DecisionReason.RANDOM_ACCEPT,
-        DecisionReason.ALWAYS_ACCEPT,
-    }
-)
+    ABOVE_THRESHOLD = ("above_threshold", True)
+    BELOW_THRESHOLD = ("below_threshold", False)
+    FORCED_FIRST_BLOCK = ("forced_first_block", False)
+    RANDOM_ACCEPT = ("random_accept", True)
+    RANDOM_REJECT = ("random_reject", False)
+    ALWAYS_ACCEPT = ("always_accept", True)
+    ALWAYS_REJECT = ("always_reject", False)
 
 
 # ---------------------------------------------------------------------------
@@ -248,21 +242,6 @@ class FrameScoreVector:
 
 
 @dataclass(frozen=True, slots=True)
-class RoutingDecision:
-    verdict: Verdict
-    reason: DecisionReason
-
-    def __post_init__(self) -> None:
-        accepted = self.reason in ACCEPT_REASONS
-        if (self.verdict is Verdict.ACCEPT) != accepted:
-            raise ValueError(f"verdict {self.verdict} inconsistent with reason {self.reason}")
-
-    @property
-    def accepted(self) -> bool:
-        return self.verdict is Verdict.ACCEPT
-
-
-@dataclass(frozen=True, slots=True)
 class BlockTrace:
     """Audit record for one block of one run.
 
@@ -273,7 +252,7 @@ class BlockTrace:
     """
 
     block_index: int
-    decision: RoutingDecision
+    decision: DecisionReason
     aggregate_score: float | None = None
     frame_scores: FrameScoreVector | None = None
     draft_time_s: float = 0.0
@@ -290,7 +269,7 @@ class BlockTrace:
     def from_checked(
         cls,
         block_index: int,
-        decision: RoutingDecision,
+        decision: DecisionReason,
         aggregate_score: float | None,
         frame_scores: FrameScoreVector | None,
         draft_time_s: float,
@@ -401,8 +380,8 @@ def _float_or_none(x: float | None) -> float | None:
 def trace_to_dict(trace: BlockTrace) -> dict:
     return {
         "block_index": trace.block_index,
-        "verdict": trace.decision.verdict.value,
-        "reason": trace.decision.reason.value,
+        "verdict": "accept" if trace.decision.accepted else "reject",
+        "reason": trace.decision.value,
         "aggregate_score": _float_or_none(trace.aggregate_score),
         "frame_scores": list(trace.frame_scores.scores) if trace.frame_scores else None,
         "draft_time_s": trace.draft_time_s,

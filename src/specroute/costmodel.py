@@ -212,16 +212,16 @@ def simulate_time(trace: Sequence[BlockTrace], params: LatencyParams | None) -> 
     Each block costs its draft, decode and target times plus its score
     time scaled by params.overlap_factor. params=None means scoring is
     overlapped (factor 0, the OverlapMode default), as when a trace is
-    replayed without calibration. A total that overflows is a ValueError.
+    replayed without calibration. A trace whose blocks are not 0..n-1 in
+    order, or whose total overflows, is a ValueError.
     """
     if not trace:
         raise ValueError("empty trace")
-    indices = [t.block_index for t in trace]
-    if indices != list(range(len(trace))):
-        raise ValueError(f"incomplete trace: block indices {indices}")
     factor = params.overlap_factor if params is not None else 0.0
     total = 0.0
-    for t in trace:
+    for b, t in enumerate(trace):
+        if t.block_index != b:
+            raise ValueError(f"incomplete trace: block {t.block_index} at position {b}")
         total += t.draft_time_s + t.decode_time_s + t.score_time_s * factor + t.target_time_s
     if not math.isfinite(total):
         raise ValueError(f"simulated time of {len(trace)} blocks overflows a float")

@@ -50,7 +50,6 @@ from .core import (
     LatentBlock,
     PromptSpec,
     RunSummary,
-    Verdict,
     noise_seed_for_block,
     pixel_frame_count,
 )
@@ -287,7 +286,7 @@ def _run_lane_block(
         scored = False
         if not arm.draft_enabled:
             decision = policy.decide(b, None)
-            if decision.verdict is not Verdict.REJECT:
+            if decision.accepted:
                 raise ValueError("draft_enabled=False requires a policy that rejects every block")
         else:
             scored = config.score_forced_rejections or not policy.forces_rejection(b)
@@ -302,7 +301,7 @@ def _run_lane_block(
                 if q is None:
                     q = q_by_mode[arm.aggregation] = aggregate(scores, arm.aggregation)
             decision = policy.decide(b, q)
-        accepted = decision.verdict is Verdict.ACCEPT
+        accepted = decision.accepted
         times = latency.block_times(accepted, scored, arm.draft_enabled)
         traces[k].append(BlockTrace(b, decision, q, scores if scored else None, *times))
         (accepting if accepted else rejecting).append(k)

@@ -19,8 +19,6 @@ import numpy as np
 from .core import (
     DecisionReason,
     FrameScoreVector,
-    RoutingDecision,
-    Verdict,
     keyed_generator,
     stable_key,
 )
@@ -61,14 +59,14 @@ def aggregate(scores: FrameScoreVector, mode: AggregationMode) -> float:
 # Policies
 # ---------------------------------------------------------------------------
 
-# Decisions are immutable, so every policy hands out these shared instances.
-_FORCED = RoutingDecision(Verdict.REJECT, DecisionReason.FORCED_FIRST_BLOCK)
-_ABOVE = RoutingDecision(Verdict.ACCEPT, DecisionReason.ABOVE_THRESHOLD)
-_BELOW = RoutingDecision(Verdict.REJECT, DecisionReason.BELOW_THRESHOLD)
-_RANDOM_ACCEPT = RoutingDecision(Verdict.ACCEPT, DecisionReason.RANDOM_ACCEPT)
-_RANDOM_REJECT = RoutingDecision(Verdict.REJECT, DecisionReason.RANDOM_REJECT)
-_ALWAYS_ACCEPT = RoutingDecision(Verdict.ACCEPT, DecisionReason.ALWAYS_ACCEPT)
-_ALWAYS_REJECT = RoutingDecision(Verdict.REJECT, DecisionReason.ALWAYS_REJECT)
+# The decisions policies return, as module globals: decide runs once per block.
+_FORCED = DecisionReason.FORCED_FIRST_BLOCK
+_ABOVE = DecisionReason.ABOVE_THRESHOLD
+_BELOW = DecisionReason.BELOW_THRESHOLD
+_RANDOM_ACCEPT = DecisionReason.RANDOM_ACCEPT
+_RANDOM_REJECT = DecisionReason.RANDOM_REJECT
+_ALWAYS_ACCEPT = DecisionReason.ALWAYS_ACCEPT
+_ALWAYS_REJECT = DecisionReason.ALWAYS_REJECT
 
 
 @dataclass(kw_only=True)
@@ -80,12 +78,12 @@ class Policy:
     def forces_rejection(self, block_index: int) -> bool:
         return self.force_reject_block0 and block_index == 0
 
-    def decide(self, block_index: int, q: float | None) -> RoutingDecision:
+    def decide(self, block_index: int, q: float | None) -> DecisionReason:
         if self.forces_rejection(block_index):
             return _FORCED
         return self._decide_unforced(block_index, q)
 
-    def _decide_unforced(self, block_index: int, q: float | None) -> RoutingDecision:
+    def _decide_unforced(self, block_index: int, q: float | None) -> DecisionReason:
         raise NotImplementedError
 
     def for_run(self, *key: object) -> Policy:
@@ -100,7 +98,7 @@ class ThresholdPolicy(Policy):
     tau: float = -0.7
     force_reject_block0: bool = True
 
-    def _decide_unforced(self, block_index: int, q: float | None) -> RoutingDecision:
+    def _decide_unforced(self, block_index: int, q: float | None) -> DecisionReason:
         if q is None:
             raise ValueError(f"threshold policy needs a score for block {block_index}")
         if q >= self.tau:
@@ -130,7 +128,7 @@ class RandomPolicy(Policy):
         """A copy drawing from the stream keyed by `key`, so runs never share draws."""
         return replace(self, rng_seed=stable_key(*key))
 
-    def _decide_unforced(self, block_index: int, q: float | None) -> RoutingDecision:
+    def _decide_unforced(self, block_index: int, q: float | None) -> DecisionReason:
         if self._rng.random() < self.accept_prob:
             return _RANDOM_ACCEPT
         return _RANDOM_REJECT
@@ -140,7 +138,7 @@ class RandomPolicy(Policy):
 class AlwaysAcceptPolicy(Policy):
     """Accept every block (draft-only when force_reject_block0 is False)."""
 
-    def _decide_unforced(self, block_index: int, q: float | None) -> RoutingDecision:
+    def _decide_unforced(self, block_index: int, q: float | None) -> DecisionReason:
         return _ALWAYS_ACCEPT
 
 
@@ -148,6 +146,6 @@ class AlwaysAcceptPolicy(Policy):
 class AlwaysRejectPolicy(Policy):
     """Reject every block (target-only content)."""
 
-    def _decide_unforced(self, block_index: int, q: float | None) -> RoutingDecision:
+    def _decide_unforced(self, block_index: int, q: float | None) -> DecisionReason:
         return _ALWAYS_REJECT
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 import os
+import reprlib
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -172,8 +174,9 @@ def run_arms(
 ) -> list[SweepRow]:
     """Simulate an explicit arm list; a target_only arm anchors the speedups."""
     labels = [a.label for a in arms]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"arm labels must be unique: {labels}")
+    repeated = [label for label, count in Counter(labels).items() if count > 1]
+    if repeated:
+        raise ValueError(f"arm labels must be unique; repeated: {reprlib.repr(repeated)}")
     if "target_only" not in labels:
         raise ValueError("arm list needs a target_only arm to define speedups")
     config = GenerationConfig(num_blocks=num_blocks, seed=seed)

@@ -54,7 +54,6 @@ from .core import (
     FrameScoreVector,
     Producer,
     RunSummary,
-    Verdict,
     all_finite,
 )
 from .costmodel import LatencyParams
@@ -250,25 +249,22 @@ def parse_trace_text(text: str) -> list[ExternalTraceRecord]:
 
 def parse_trace_file(path: str | Path) -> list[ExternalTraceRecord]:
     """Parse a UTF-8 trace file; invalid UTF-8 is a TraceFormatError naming its line."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_trace(fh)
-    except UnicodeDecodeError:
-        pass
-    # Text mode decodes 8 KB at a time, so its error names no line. Read
-    # again with undecodable bytes kept as lone surrogates, and stop at the
-    # first line that holds one (or at any earlier error).
+    # Text mode decodes 8 KB at a time, so a strict decoding error names no
+    # line. Undecodable bytes are kept as lone surrogates instead, and the
+    # parse stops at the first line that holds one (or at any earlier error).
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return parse_trace(_utf8_lines(fh))
 
 
 def _utf8_lines(lines: Iterable[str]) -> Iterator[str]:
     for line_number, line in enumerate(lines, start=1):
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            byte = ord(line[exc.start]) - 0xDC00
-            raise TraceFormatError(f"invalid UTF-8 (byte 0x{byte:02x})", line_number) from None
+        # A lone surrogate is not ASCII, so an ASCII line needs no encode check.
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise TraceFormatError(f"invalid UTF-8 (byte 0x{byte:02x})", line_number) from None
         yield line
 
 
@@ -435,7 +431,7 @@ def replay(
             scores = new_scores(b, record.frame_scores)
             q = aggregate(scores, aggregation)
             decision = policy.decide(b, q)
-            accepted = decision.verdict is Verdict.ACCEPT
+            accepted = decision.accepted
             draft, decode, score = record.draft_time_s, record.decode_time_s, record.score_time_s
             needed = 3
             missing = (draft is None) + (decode is None) + (score is None)

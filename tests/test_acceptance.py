@@ -20,7 +20,6 @@ from specroute.core import (
     LatentBlock,
     Producer,
     PromptSpec,
-    Verdict,
     noise_seed_for_block,
 )
 from specroute.costmodel import fit_latencies, speedup
@@ -213,8 +212,8 @@ def test_criterion_6_property_suite(calibration, num_blocks):
 
                 # forced policies always reject block 0, even at q = +inf
                 if policy.force_reject_block0:
-                    assert traces[0].decision.verdict is Verdict.REJECT
-                    assert policy.decide(0, float("inf")).verdict is Verdict.REJECT
+                    assert not traces[0].decision.accepted
+                    assert not policy.decide(0, float("inf")).accepted
 
                 # drafter never sees routing
                 drafter_digests.add(res.drafter_kv.digests())

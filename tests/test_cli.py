@@ -554,6 +554,16 @@ class TestSweep:
         assert "arm labels must be unique" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_duplicate_threshold_message_names_only_the_repeats(self, cal_path, tmp_path, capsys):
+        taus = [f"{-3 + i / 100:.2f}" for i in range(400)] + ["-0.70"]
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--calibration", str(cal_path), "--n", "1",
+                     "--tau-list", *taus, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "repeated: ['threshold(tau=-0.7)']" in err
+        # The CLI fuzz property's stderr bound.
+        assert len(err.encode()) <= 4096
+
     def test_thresholds_equal_to_six_digits_get_distinct_labels(self, cal_path, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["sweep", "--calibration", str(cal_path), "--n", "1", "--blocks", "2",

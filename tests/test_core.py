@@ -7,15 +7,14 @@ from specroute.core import (
     LATENT_FRAMES_PER_BLOCK,
     PIXEL_FRAMES_FIRST_BLOCK,
     PIXEL_FRAMES_LATER_BLOCK,
+    BlockTrace,
     ConfigError,
     DecisionReason,
     FrameScoreVector,
     GenerationConfig,
     LatentBlock,
     Producer,
-    RoutingDecision,
     RunSummary,
-    Verdict,
     block_digest,
     default_config,
     keyed_generator,
@@ -23,6 +22,7 @@ from specroute.core import (
     pixel_frame_count,
     stable_key,
     summary_to_dict,
+    trace_to_dict,
 )
 from specroute.router import ThresholdPolicy
 
@@ -119,12 +119,20 @@ class TestPayloads:
 
 
 class TestRoutingDecision:
+    """A decision is its reason, and the reason fixes the verdict."""
+
+    @staticmethod
+    def exported(reason):
+        doc = trace_to_dict(BlockTrace(0, reason))
+        return doc["verdict"], doc["reason"]
+
     @pytest.mark.parametrize(
         "reason",
         [DecisionReason.ABOVE_THRESHOLD, DecisionReason.RANDOM_ACCEPT, DecisionReason.ALWAYS_ACCEPT],
     )
     def test_accept_reasons(self, reason):
-        assert RoutingDecision(Verdict.ACCEPT, reason).accepted
+        assert reason.accepted is True
+        assert self.exported(reason) == ("accept", reason.value)
 
     @pytest.mark.parametrize(
         "reason",
@@ -136,13 +144,8 @@ class TestRoutingDecision:
         ],
     )
     def test_reject_reasons(self, reason):
-        assert not RoutingDecision(Verdict.REJECT, reason).accepted
-
-    def test_inconsistent_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            RoutingDecision(Verdict.ACCEPT, DecisionReason.BELOW_THRESHOLD)
-        with pytest.raises(ValueError):
-            RoutingDecision(Verdict.REJECT, DecisionReason.ALWAYS_ACCEPT)
+        assert reason.accepted is False
+        assert self.exported(reason) == ("reject", reason.value)
 
 
 class TestHashing:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from specroute.core import BlockTrace, DecisionReason, RoutingDecision, Verdict
+from specroute.core import BlockTrace, DecisionReason
 from specroute.costmodel import (
     LatencyFitError,
     LatencyParams,
@@ -35,10 +35,7 @@ def make_trace(num_blocks, rejected, params, scored=True):
     traces = []
     for b in range(num_blocks):
         is_rejected = b in rejected
-        decision = RoutingDecision(
-            Verdict.REJECT if is_rejected else Verdict.ACCEPT,
-            DecisionReason.ALWAYS_REJECT if is_rejected else DecisionReason.ALWAYS_ACCEPT,
-        )
+        decision = DecisionReason.ALWAYS_REJECT if is_rejected else DecisionReason.ALWAYS_ACCEPT
         traces.append(
             BlockTrace(
                 block_index=b,
@@ -56,7 +53,7 @@ def target_only_trace(num_blocks, params):
     return [
         BlockTrace(
             block_index=b,
-            decision=RoutingDecision(Verdict.REJECT, DecisionReason.ALWAYS_REJECT),
+            decision=DecisionReason.ALWAYS_REJECT,
             target_time_s=params.c_target,
         )
         for b in range(num_blocks)
@@ -150,7 +147,7 @@ class TestSimulateTime:
 
     def test_incomplete_trace_rejected(self, params):
         traces = target_only_trace(9, params)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^incomplete trace: block 4 at position 3$"):
             simulate_time(traces[:3] + traces[4:], params)
         with pytest.raises(ValueError):
             simulate_time([], params)

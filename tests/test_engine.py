@@ -14,7 +14,6 @@ from specroute.core import (
     GenerationConfig,
     Producer,
     PromptSpec,
-    Verdict,
     noise_seed_for_block,
     pixel_frame_count,
     summary_to_dict,
@@ -63,7 +62,7 @@ class TestBaselinePolicies:
     def test_default_policy_forces_target_block0(self, stack, calibration, config):
         res = run(stack, calibration, config, ThresholdPolicy())
         assert res.target_kv.producers()[0] is Producer.TARGET
-        assert res.summary.block_traces[0].decision.reason.value == "forced_first_block"
+        assert res.summary.block_traces[0].decision.value == "forced_first_block"
 
 
 class TestRunShape:
@@ -91,7 +90,7 @@ class TestRunShape:
     def test_target_time_iff_rejected(self, stack, calibration, config):
         res = run(stack, calibration, config, ThresholdPolicy(), prompt_id="p3")
         for trace in res.summary.block_traces:
-            assert (trace.target_time_s > 0) == (trace.decision.verdict is Verdict.REJECT)
+            assert (trace.target_time_s > 0) == (not trace.decision.accepted)
 
     def test_accept_rate_counts_blocks_after_the_first(self, stack, calibration, config):
         res = run(stack, calibration, config, ThresholdPolicy())
@@ -127,7 +126,7 @@ class TestScoringRules:
         res = run(stack, calibration, config, ThresholdPolicy())
         first = res.summary.block_traces[0]
         assert first.aggregate_score is not None
-        assert first.decision.reason.value == "forced_first_block"
+        assert first.decision.value == "forced_first_block"
 
     def test_unforced_blocks_always_scored(self, stack, calibration, config):
         res = run(stack, calibration, config, AlwaysRejectPolicy())

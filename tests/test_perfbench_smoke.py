@@ -1,0 +1,55 @@
+"""The benchmark's correctness gate, run once per workload at test scale.
+
+perfbench/worker.py checks what it measures: each workload's seed-42
+reference output must hash to its digest in perfbench/golden.json, and
+every operation's output must pass the workload's own check. Both run
+here, the replay workload on a 4-prompt trace, so a change that breaks a
+library call the benchmark makes, or changes an output it pins, fails the
+suite rather than the benchmark run.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+import specroute
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SEED = 5
+REPLAY_PROMPTS = 4
+
+
+def _load_worker():
+    spec = importlib.util.spec_from_file_location("perfbench_worker", PERFBENCH / "worker.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+worker = _load_worker()
+GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())
+
+
+def _write_replay_inputs(calibration, work: Path) -> None:
+    """The files `worker.py gen` writes, with a small trace for the measured run."""
+    meta = worker.write_replay_trace(
+        specroute, calibration, SEED, REPLAY_PROMPTS, work / f"replay-{SEED}.jsonl"
+    )
+    (work / f"replay-{SEED}.meta.json").write_text(json.dumps(meta))
+    worker.write_replay_trace(
+        specroute, calibration, worker.REFERENCE_SEED, worker.REFERENCE_REPLAY_PROMPTS,
+        work / f"replay-{worker.REFERENCE_SEED}-reference.jsonl",
+    )
+
+
+@pytest.mark.parametrize("name", sorted(worker.WORKLOADS))
+def test_reference_matches_golden_and_an_operation_passes_its_check(name, calibration, tmp_path):
+    if name == "replay":
+        _write_replay_inputs(calibration, tmp_path)
+    workload = worker.WORKLOADS[name](calibration, SEED, tmp_path)
+    assert workload.reference() == GOLDEN[name]
+    assert workload.check(workload.op(0)) == 0

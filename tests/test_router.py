@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specroute.core import DecisionReason, FrameScoreVector, Verdict, stable_key
+from specroute.core import DecisionReason, FrameScoreVector, stable_key
 from specroute.router import (
     AggregationMode,
     AlwaysAcceptPolicy,
@@ -61,23 +61,23 @@ class TestThresholdPolicy:
     def test_boundary_is_inclusive(self):
         policy = ThresholdPolicy(tau=-0.7)
         d = policy.decide(3, -0.7)
-        assert d.verdict is Verdict.ACCEPT and d.reason is DecisionReason.ABOVE_THRESHOLD
+        assert d is DecisionReason.ABOVE_THRESHOLD
 
     def test_just_below_rejects(self):
         d = ThresholdPolicy(tau=-0.7).decide(3, -0.71)
-        assert d.verdict is Verdict.REJECT and d.reason is DecisionReason.BELOW_THRESHOLD
+        assert d is DecisionReason.BELOW_THRESHOLD
 
     def test_block0_forced_despite_high_score(self):
         d = ThresholdPolicy(tau=-0.7, force_reject_block0=True).decide(0, 5.0)
-        assert d.verdict is Verdict.REJECT and d.reason is DecisionReason.FORCED_FIRST_BLOCK
+        assert d is DecisionReason.FORCED_FIRST_BLOCK
 
     def test_block0_forced_even_at_infinite_score(self):
         d = ThresholdPolicy(tau=-0.7).decide(0, float("inf"))
-        assert d.verdict is Verdict.REJECT and d.reason is DecisionReason.FORCED_FIRST_BLOCK
+        assert d is DecisionReason.FORCED_FIRST_BLOCK
 
     def test_unforced_block0_uses_threshold(self):
         d = ThresholdPolicy(tau=-0.7, force_reject_block0=False).decide(0, 5.0)
-        assert d.verdict is Verdict.ACCEPT
+        assert d.accepted
 
     def test_missing_score_raises(self):
         with pytest.raises(ValueError):
@@ -148,14 +148,14 @@ class TestRandomPolicy:
         forced = RandomPolicy(accept_prob=0.5, rng_seed=11, force_reject_block0=True)
         plain = RandomPolicy(accept_prob=0.5, rng_seed=11)
         d0 = forced.decide(0, None)
-        assert d0.reason is DecisionReason.FORCED_FIRST_BLOCK
+        assert d0 is DecisionReason.FORCED_FIRST_BLOCK
         assert [forced.decide(i, None).accepted for i in range(1, 30)] == [
             plain.decide(i, None).accepted for i in range(1, 30)
         ]
 
     def test_random_reasons_are_distinct(self):
         policy = RandomPolicy(accept_prob=0.5, rng_seed=5)
-        reasons = {policy.decide(i, None).reason for i in range(1, 100)}
+        reasons = {policy.decide(i, None) for i in range(1, 100)}
         assert reasons == {DecisionReason.RANDOM_ACCEPT, DecisionReason.RANDOM_REJECT}
 
 
@@ -177,15 +177,15 @@ class TestForRun:
 class TestFixedPolicies:
     def test_always_accept(self):
         d = AlwaysAcceptPolicy().decide(4, None)
-        assert d.accepted and d.reason is DecisionReason.ALWAYS_ACCEPT
+        assert d is DecisionReason.ALWAYS_ACCEPT
 
     def test_always_reject(self):
         d = AlwaysRejectPolicy().decide(4, 10.0)
-        assert not d.accepted and d.reason is DecisionReason.ALWAYS_REJECT
+        assert d is DecisionReason.ALWAYS_REJECT
 
     def test_forced_always_accept_still_rejects_block0(self):
         d = AlwaysAcceptPolicy(force_reject_block0=True).decide(0, float("inf"))
-        assert d.verdict is Verdict.REJECT and d.reason is DecisionReason.FORCED_FIRST_BLOCK
+        assert d is DecisionReason.FORCED_FIRST_BLOCK
 
     def test_decide_function_delegates(self):
         assert AlwaysAcceptPolicy().decide(1, None).accepted

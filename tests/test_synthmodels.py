@@ -14,8 +14,6 @@ from specroute.core import (
     GenerationConfig,
     Producer,
     PromptSpec,
-    RoutingDecision,
-    Verdict,
     block_digest,
     default_config,
 )
@@ -166,7 +164,7 @@ class TestQualityProxyModel:
     def accepted_trace(self, block_index, min_score):
         return BlockTrace(
             block_index=block_index,
-            decision=RoutingDecision(Verdict.ACCEPT, DecisionReason.ABOVE_THRESHOLD),
+            decision=DecisionReason.ABOVE_THRESHOLD,
             aggregate_score=min_score,
             frame_scores=FrameScoreVector(block_index, (min_score, min_score + 0.4)),
         )
@@ -174,7 +172,7 @@ class TestQualityProxyModel:
     def rejected_trace(self, block_index):
         return BlockTrace(
             block_index=block_index,
-            decision=RoutingDecision(Verdict.REJECT, DecisionReason.ALWAYS_REJECT),
+            decision=DecisionReason.ALWAYS_REJECT,
             target_time_s=1.0,
         )
 
@@ -207,7 +205,7 @@ class TestQualityProxyModel:
         model = self.make_model()
         bad = BlockTrace(
             block_index=1,
-            decision=RoutingDecision(Verdict.ACCEPT, DecisionReason.ALWAYS_ACCEPT),
+            decision=DecisionReason.ALWAYS_ACCEPT,
         )
         with pytest.raises(ValueError):
             model.run_quality([bad])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specroute.core import Producer, PromptSpec, Verdict
+from specroute.core import Producer, PromptSpec
 from specroute.costmodel import LatencyParams, OverlapMode, simulate_time
 from specroute.engine import run_video_detailed
 from specroute.router import AggregationMode, ThresholdPolicy
@@ -370,7 +370,7 @@ class TestReplay:
     def test_negative_infinity_accepts_everything_except_forced_block0(self):
         runs = replay(make_records(), tau=float("-inf"))
         summary = runs[0].summary
-        assert summary.block_traces[0].decision.verdict is Verdict.REJECT
+        assert not summary.block_traces[0].decision.accepted
         assert all(t.decision.accepted for t in summary.block_traces[1:])
         assert summary.accept_rate_excl_block0 == 1.0
 
@@ -608,10 +608,8 @@ class TestEngineSelfConsistency:
                 latency=calibration.latency,
             )
             replayed = runs[0].summary
-            live = [
-                (t.decision.verdict, t.decision.reason) for t in res.summary.block_traces
-            ]
-            again = [(t.decision.verdict, t.decision.reason) for t in replayed.block_traces]
+            live = [t.decision for t in res.summary.block_traces]
+            again = [t.decision for t in replayed.block_traces]
             assert again == live
             assert replayed.accept_rate_excl_block0 == res.summary.accept_rate_excl_block0
             assert replayed.total_time_s == pytest.approx(res.summary.total_time_s)
