@@ -6,80 +6,18 @@ the routing engine with full cache commit/rollback semantics, calibrated
 synthetic stand-ins for the neural components, a fitted latency model,
 sweep/ablation harnesses, and counterfactual replay of externally
 recorded traces.
+
+The package namespace holds only the public surface: the three model
+interfaces, the trace format and the calibration file. Everything else
+is imported from its module, such as specroute.engine or specroute.sweep.
 """
 
-from .caches import (
-    CacheOwner,
-    ContiguityError,
-    DecodeCacheSnapshot,
-    KVCache,
-    SnapshotMismatchError,
-    decode_restore,
-    decode_snapshot,
-)
-from .core import (
-    BlockTrace,
-    DecisionReason,
-    DecodedFrames,
-    FrameScoreVector,
-    GenerationConfig,
-    LatentBlock,
-    Producer,
-    PromptSpec,
-    RunSummary,
-    default_config,
-    pixel_frame_count,
-)
-from .costmodel import (
-    LatencyParams,
-    OverlapMode,
-    expected_rejected_blocks,
-    fit_latencies,
-    simulate_time,
-    speedup,
-)
-from .engine import (
-    DecoderInterface,
-    GeneratorInterface,
-    Arm,
-    RunResult,
-    ScorerInterface,
-    run_arms_detailed,
-    run_video_detailed,
-)
-from .router import (
-    AggregationMode,
-    AlwaysAcceptPolicy,
-    AlwaysRejectPolicy,
-    Policy,
-    RandomPolicy,
-    ThresholdPolicy,
-    aggregate,
-)
-from .sweep import (
-    ParetoReport,
-    SweepRow,
-    SweepSpec,
-    pareto_check,
-    run_sweep,
-)
-from .synthmodels import (
-    Calibration,
-    CalibrationError,
-    DraftQualityModel,
-    QualityProxyModel,
-    build_synthetic_stack,
-    fit_calibration,
-    fit_quality_proxy,
-    fit_quantile,
-    load_reference_table,
-)
-from .traceio import (
-    ExternalTraceRecord,
-    TraceFormatError,
-    parse_trace,
-    replay,
-    serialize_records,
-)
+from .engine import DecoderInterface, GeneratorInterface, ScorerInterface
+from .synthmodels import Calibration, CalibrationError
+from .traceio import ExternalTraceRecord, TraceFormatError, parse_trace, serialize_records
+
+# perfbench's cmd_setup and write_replay_trace call these two as specroute.X.
+from .core import default_config
+from .synthmodels import build_synthetic_stack
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 from .core import LatentBlock, Producer, block_digest
 
@@ -133,7 +133,6 @@ class KVCache:
 # ---------------------------------------------------------------------------
 
 
-@runtime_checkable
 class RestorableState(Protocol):
     """What the snapshot machinery needs from a decoder state object."""
 
@@ -146,23 +145,18 @@ class RestorableState(Protocol):
 
 @dataclass(frozen=True)
 class DecodeCacheSnapshot:
-    """Deep copy of decoder temporal state, tagged with capture position.
+    """Deep copy of decoder temporal state and its digest at capture.
 
     A full copy rather than copy-on-write: state is small at desk scale
     and an independent copy keeps restore semantics trivially correct.
     """
 
-    block_index: int
     state_copy: RestorableState = field(repr=False)
-    captured_digest: str = ""
+    captured_digest: str
 
 
-def decode_snapshot(state: RestorableState, block_index: int = -1) -> DecodeCacheSnapshot:
-    return DecodeCacheSnapshot(
-        block_index=block_index,
-        state_copy=state.clone(),
-        captured_digest=state.digest(),
-    )
+def decode_snapshot(state: RestorableState) -> DecodeCacheSnapshot:
+    return DecodeCacheSnapshot(state_copy=state.clone(), captured_digest=state.digest())
 
 
 def decode_restore(state: RestorableState, snapshot: DecodeCacheSnapshot) -> None:

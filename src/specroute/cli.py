@@ -28,7 +28,7 @@ from .costmodel import LatencyFitError
 from .engine import Arm, BlockExecutionError
 from .router import AggregationMode, AlwaysAcceptPolicy, AlwaysRejectPolicy, ThresholdPolicy
 from .sweep import (
-    ArmSpec,
+    SweepRow,
     SweepSpec,
     ablation_arms,
     draft_only_arm,
@@ -38,7 +38,6 @@ from .sweep import (
     rows_to_json_dict,
     run_arms,
     run_prompts,
-    run_sweep,
     target_only_arm,
 )
 from .synthmodels import (
@@ -203,6 +202,8 @@ def cmd_simulate(args) -> int:
             raise CliFailure(EXIT_VALIDATION, str(exc)) from exc
     if not math.isfinite(time_sum):
         raise CliFailure(EXIT_VALIDATION, "the simulated time over all prompts overflows a float")
+    if not math.isfinite(quality_sum):
+        raise CliFailure(EXIT_VALIDATION, "the quality proxy over all prompts overflows a float")
     if args.export_trace:
         # One record per block.
         _info(f"exported {args.n * config.num_blocks} trace records to {args.export_trace}")
@@ -213,7 +214,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _simulate_arm(args) -> ArmSpec:
+def _simulate_arm(args) -> Arm:
     """simulate's policy flags as one arm.
 
     Block 0 is force-rejected by default under threshold only. A random
@@ -226,36 +227,37 @@ def _simulate_arm(args) -> ArmSpec:
         force = args.policy == "threshold"
     if args.policy == "random":
         try:
-            spec = random_arm(args.rate, force)
+            arm = random_arm(args.rate, force)
         except ValueError as exc:
             raise CliFailure(EXIT_USAGE, str(exc)) from exc
-        return ArmSpec(spec.label, Arm(spec.arm.policy, aggregation))
+        return arm._replace(aggregation=aggregation)
     if args.policy == "threshold":
         policy = ThresholdPolicy(tau=args.tau, force_reject_block0=force)
     elif args.policy == "always-accept":
         policy = AlwaysAcceptPolicy(force_reject_block0=force)
     else:
         policy = AlwaysRejectPolicy(force_reject_block0=force)
-    return ArmSpec(args.policy, Arm(policy, aggregation))
+    return Arm(policy, aggregation, label=args.policy)
 
 
-def cmd_sweep(args) -> int:
+def _run_arm_list(args, arms: list[Arm], intro: str) -> list[SweepRow]:
+    """Run an arm list over args.n prompts, write its CSV to --out and return its rows."""
     calibration = _load_calibration(args)
-    taus = tuple(args.tau_list) if args.tau_list else DEFAULT_SWEEP_TAUS
+    _info(f"{intro} x {args.n} prompts (seed {args.seed})")
     try:
-        spec = SweepSpec(
-            thresholds=taus, num_prompts=args.n, seed=args.seed, num_blocks=args.blocks
-        )
-    except ValueError as exc:
-        raise CliFailure(EXIT_USAGE, str(exc)) from exc
-
-    _info(f"sweeping {len(taus)} thresholds x {args.n} prompts (seed {args.seed})")
-    try:
-        rows = run_sweep(spec, calibration, jobs=args.jobs)
+        rows = run_arms(arms, args.n, args.seed, calibration, args.blocks, jobs=args.jobs)
     except (ValueError, BlockExecutionError) as exc:
         # Such as a calibration that gives an arm zero simulated time or breaks a model.
         raise CliFailure(EXIT_VALIDATION, str(exc)) from exc
     _write_text("--out", args.out, rows_to_csv(rows))
+    return rows
+
+
+def cmd_sweep(args) -> int:
+    # argparse has already checked what SweepSpec requires: thresholds and n >= 1.
+    taus = tuple(args.tau_list) if args.tau_list else DEFAULT_SWEEP_TAUS
+    spec = SweepSpec(thresholds=taus, num_prompts=args.n, seed=args.seed, num_blocks=args.blocks)
+    rows = _run_arm_list(args, spec.arms(), f"sweeping {len(taus)} thresholds")
     report = pareto_check(rows)
     for line in report.lines():
         _info(line)
@@ -266,15 +268,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    calibration = _load_calibration(args)
     arms = [target_only_arm()] + ablation_arms() + [draft_only_arm()]
-    _info(f"running {len(arms)} ablation arms x {args.n} prompts (seed {args.seed})")
-    try:
-        rows = run_arms(arms, args.n, args.seed, calibration, args.blocks, jobs=args.jobs)
-    except (ValueError, BlockExecutionError) as exc:
-        # Such as a calibration that gives an arm zero simulated time or breaks a model.
-        raise CliFailure(EXIT_VALIDATION, str(exc)) from exc
-    _write_text("--out", args.out, rows_to_csv(rows))
+    _run_arm_list(args, arms, f"running {len(arms)} ablation arms")
     return 0
 
 

@@ -136,11 +136,15 @@ class Arm(NamedTuple):
     is generated by the target directly; this is the pure target-only
     deployment used as the speedup baseline, and its per-block cost is
     c_target alone (emission decode is folded into c_target by the fit).
+
+    label names the arm in an experiment: the sweep's row for it, and the
+    key of its per-run policy stream (Policy.for_run). The engine ignores it.
     """
 
     policy: Policy
     aggregation: AggregationMode = AggregationMode.MIN_FRAME
     draft_enabled: bool = True
+    label: str = ""
 
 
 def _guard(block_index: int, stage: str, fn, *args):
@@ -274,7 +278,7 @@ def _run_lane_block(
     """Route block b for one lane; returns the lane its rejecting arms fork into, if any."""
     snapshot = None
     if any(arms[k].draft_enabled for k in lane.arms):
-        snapshot = decode_snapshot(lane.state, b)
+        snapshot = decode_snapshot(lane.state)
         draft_frames = _guard(b, "decode", decoder.decode, draft, lane.state)
     scores: FrameScoreVector | None = None
     q_by_mode: dict[AggregationMode, float] = {}

@@ -1,6 +1,8 @@
 """Experiment harness: threshold sweeps, baselines, and ablation arms.
 
 A sweep simulates many prompts per arm and reduces to one row per arm.
+An arm is an engine.Arm; its label names its row and keys the policy
+stream of each of its runs, so labels within one arm list must be unique.
 Baselines (pure target-only and draft-only) are always included because
 every speedup is defined against the same sweep's target-only row.
 Prompts are the unit of parallelism: one prompt's arms run in lockstep
@@ -32,7 +34,6 @@ from .router import (
 from .synthmodels import Calibration, build_synthetic_stack
 
 __all__ = [
-    "ArmSpec",
     "threshold_arm",
     "mean_frame_arm",
     "random_arm",
@@ -54,47 +55,35 @@ __all__ = [
 CSV_HEADER = "label,quality,time_s,speedup,accept_rate"
 
 
-@dataclass(frozen=True)
-class ArmSpec:
-    """One experiment arm: the engine Arm it routes with, under a unique label.
-
-    The label names the arm's row and keys each run's policy stream:
-    prompt i routes with arm.policy.for_run(seed, label, i).
-    """
-
-    label: str
-    arm: Arm
-
-
 def _tau_text(tau: float) -> str:
     """tau as :g, or as its repr where :g would give two thresholds one label."""
     text = f"{tau:g}"
     return text if float(text) == tau else repr(tau)
 
 
-def threshold_arm(tau: float) -> ArmSpec:
-    return ArmSpec(f"threshold(tau={_tau_text(tau)})", Arm(ThresholdPolicy(tau=tau)))
+def threshold_arm(tau: float) -> Arm:
+    return Arm(ThresholdPolicy(tau=tau), label=f"threshold(tau={_tau_text(tau)})")
 
 
-def mean_frame_arm(tau: float) -> ArmSpec:
-    return ArmSpec(
-        f"avg_frame(tau={_tau_text(tau)})",
-        Arm(ThresholdPolicy(tau=tau), AggregationMode.MEAN_FRAME),
+def mean_frame_arm(tau: float) -> Arm:
+    return Arm(
+        ThresholdPolicy(tau=tau), AggregationMode.MEAN_FRAME,
+        label=f"avg_frame(tau={_tau_text(tau)})",
     )
 
 
-def random_arm(rate: float, force_reject_block0: bool) -> ArmSpec:
+def random_arm(rate: float, force_reject_block0: bool) -> Arm:
     prefix = "force_reject_random" if force_reject_block0 else "random"
     policy = RandomPolicy(accept_prob=rate, force_reject_block0=force_reject_block0)
-    return ArmSpec(f"{prefix}(rate={rate:g})", Arm(policy))
+    return Arm(policy, label=f"{prefix}(rate={rate:g})")
 
 
-def target_only_arm() -> ArmSpec:
-    return ArmSpec("target_only", Arm(AlwaysRejectPolicy(), draft_enabled=False))
+def target_only_arm() -> Arm:
+    return Arm(AlwaysRejectPolicy(), draft_enabled=False, label="target_only")
 
 
-def draft_only_arm() -> ArmSpec:
-    return ArmSpec("draft_only", Arm(AlwaysAcceptPolicy()))
+def draft_only_arm() -> Arm:
+    return Arm(AlwaysAcceptPolicy(), label="draft_only")
 
 
 @dataclass(frozen=True)
@@ -113,7 +102,7 @@ class SweepSpec:
         if self.num_prompts < 1:
             raise ValueError("num_prompts must be >= 1")
 
-    def arms(self) -> list[ArmSpec]:
+    def arms(self) -> list[Arm]:
         return [target_only_arm(), *map(threshold_arm, self.thresholds), draft_only_arm()]
 
 
@@ -133,27 +122,27 @@ def prompt_spec(index: int) -> PromptSpec:
 
 
 def run_prompts(
-    arms: Sequence[ArmSpec], indices: Iterable[int],
+    arms: Sequence[Arm], indices: Iterable[int],
     calibration: Calibration, config: GenerationConfig,
 ) -> Iterator[list[RunResult]]:
     """Run every arm on the synthetic stack over prompts `indices`, in order.
 
     Yields each prompt's run_arms_detailed results, one per arm. config.seed
-    keys the stack and each arm's per-run policy stream, so a prompt's
-    results do not depend on which other prompts run, or in which process.
+    keys the stack, and prompt i routes with arm.policy.for_run(config.seed,
+    arm.label, i), so a prompt's results do not depend on which other
+    prompts run, or in which process.
     """
     stack = build_synthetic_stack(calibration, config)
     for i in indices:
         yield run_arms_detailed(
             config, prompt_spec(i), stack.drafter, stack.target, stack.decoder, stack.scorer,
-            [spec.arm._replace(policy=spec.arm.policy.for_run(config.seed, spec.label, i))
-             for spec in arms],
+            [arm._replace(policy=arm.policy.for_run(config.seed, arm.label, i)) for arm in arms],
             calibration.latency, calibration.proxy.run_quality,
         )
 
 
 def _simulate_chunk(
-    arms: Sequence[ArmSpec], calibration: Calibration, config: GenerationConfig,
+    arms: Sequence[Arm], calibration: Calibration, config: GenerationConfig,
     indices: Sequence[int],
 ) -> list[list[tuple[float, float, float]]]:
     """Run every arm over a chunk of prompts; per prompt, each arm's (quality, time, accept)."""
@@ -165,7 +154,7 @@ def _simulate_chunk(
 
 
 def run_arms(
-    arms: Sequence[ArmSpec],
+    arms: Sequence[Arm],
     num_prompts: int,
     seed: int,
     calibration: Calibration,
@@ -204,15 +193,15 @@ def run_arms(
         ]
     except OverflowError:
         raise ValueError("an arm's totals over all prompts overflow a float") from None
-    for spec, (_, time_s, _) in zip(arms, stats):
+    for arm, (_, time_s, _) in zip(arms, stats):
         if not time_s > 0:
-            raise ValueError(f"arm {spec.label} has zero simulated time, so speedups are undefined")
+            raise ValueError(f"arm {arm.label} has zero simulated time, so speedups are undefined")
     target_time = stats[labels.index("target_only")][1]
     # A row's tau is its ThresholdPolicy's; no other policy has one.
     return [
-        SweepRow(label=spec.label, tau=getattr(spec.arm.policy, "tau", None), quality=quality,
+        SweepRow(label=arm.label, tau=getattr(arm.policy, "tau", None), quality=quality,
                  time_s=time_s, speedup=speedup(time_s, target_time), accept_rate=accept)
-        for spec, (quality, time_s, accept) in zip(arms, stats)
+        for arm, (quality, time_s, accept) in zip(arms, stats)
     ]
 
 
@@ -287,12 +276,8 @@ def rows_to_csv(rows: Sequence[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rows_to_json_dict(
-    rows: Sequence[SweepRow],
-    pareto: ParetoReport | None = None,
-    meta: dict | None = None,
-) -> dict:
-    doc = {
+def rows_to_json_dict(rows: Sequence[SweepRow], pareto: ParetoReport, meta: dict) -> dict:
+    return {
         "schema_version": 1,
         "rows": [
             {
@@ -305,19 +290,16 @@ def rows_to_json_dict(
             }
             for r in rows
         ],
-    }
-    if pareto is not None:
-        doc["pareto"] = {
+        "pareto": {
             "ok": pareto.ok,
             "violations": list(pareto.violations),
             "rows_checked": pareto.rows_checked,
-        }
-    if meta:
-        doc["meta"] = meta
-    return doc
+        },
+        "meta": meta,
+    }
 
 
-def ablation_arms() -> list[ArmSpec]:
+def ablation_arms() -> list[Arm]:
     """The ablation arm set: min-frame default, mean-frame sweep, random arms.
 
     The random arms' accept rates match the reference measurements: 70.3%

@@ -140,13 +140,17 @@ class DraftQualityModel:
         taus = [t for t, _ in knots]
         rates = [a for _, a in knots]
         if any(t1 <= t2 for t1, t2 in zip(taus, taus[1:])):
-            raise CalibrationError(f"knot thresholds must be strictly decreasing: {taus}")
+            raise CalibrationError(
+                f"knot thresholds must be strictly decreasing: {reprlib.repr(taus)}"
+            )
         if any(a1 >= a2 for a1, a2 in zip(rates, rates[1:])):
             raise CalibrationError(
-                f"accept rate must strictly increase as tau decreases: {rates}"
+                f"accept rate must strictly increase as tau decreases: {reprlib.repr(rates)}"
             )
         if not all(0.0 < a < 1.0 for a in rates):
-            raise CalibrationError(f"knot accept rates must lie in (0, 1): {rates}")
+            raise CalibrationError(
+                f"knot accept rates must lie in (0, 1): {reprlib.repr(rates)}"
+            )
         if self.upper_tail_slope <= 0 or self.lower_tail_slope <= 0:
             raise CalibrationError("tail slopes must be positive")
         if self.frame_gap_mean < 0:
@@ -373,8 +377,7 @@ class QualityFitReport:
 
 
 def fit_quality_proxy(
-    rows: "ReferenceTable | Sequence[TableRow]",
-    quantile: DraftQualityModel,
+    main: Sequence[TableRow], quantile: DraftQualityModel,
 ) -> tuple[QualityProxyModel, QualityFitReport]:
     """Fit segment penalties so expected run quality matches the table.
 
@@ -385,7 +388,6 @@ def fit_quality_proxy(
     residual floor can be unavoidable; breaches of QUALITY_FIT_TOLERANCE
     are reported, not raised. Runs are TABLE_NUM_BLOCKS blocks long.
     """
-    main = rows.main if isinstance(rows, ReferenceTable) else list(rows)
     base_row = _single_row(main, TARGET_ONLY)
     draft_row = _single_row(main, DRAFT_ONLY)
     threshold_rows = [r for r in main if r.method == "threshold"]
@@ -757,7 +759,9 @@ def fit_calibration(
     latency_rows: list[tuple[str | float, float]] = []
     for row in table.main:
         if row.time_s is None:
-            raise CalibrationError(f"main-table row {row.method!r} is missing time_s")
+            raise CalibrationError(
+                f"main-table row {reprlib.repr(row.method)} is missing time_s"
+            )
         key: str | float = row.method if row.method in (TARGET_ONLY, DRAFT_ONLY) else row.accept_rate
         if key is None:
             raise CalibrationError(f"threshold row tau={row.tau} is missing accept_rate")

@@ -376,7 +376,7 @@ def _check_contiguous(prompt_id: str, seen: list[int]) -> None:
         detail.append(_listing("missing", gaps, num_gaps))
     if num_dupes:
         detail.append(_listing("duplicate", dupes, num_dupes))
-    raise TraceFormatError(f"prompt {prompt_id!r}: " + ", ".join(detail))
+    raise TraceFormatError(f"prompt {reprlib.repr(prompt_id)}: " + ", ".join(detail))
 
 
 def _listing(kind: str, listed: list[int], count: int) -> str:
@@ -393,7 +393,7 @@ def _no_fallback(
     names = ("c_draft", "c_decode", "c_score", "c_target")
     name = next(n for n, t in zip(names, times) if t is None)
     return TraceFormatError(
-        f"prompt {prompt_id!r} block {block_index}: "
+        f"prompt {reprlib.repr(prompt_id)} block {block_index}: "
         f"no recorded {name} and no latency params for fallback"
     )
 

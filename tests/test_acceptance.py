@@ -253,7 +253,7 @@ def test_criterion_6_property_suite(calibration, num_blocks):
 
             # decode snapshot/restore identity
             state = stack.decoder.fresh_state()
-            snap = decode_snapshot(state, 0)
+            snap = decode_snapshot(state)
             stack.decoder.decode(blocks[0], state)
             decode_restore(state, snap)
             assert state.digest() == snap.captured_digest

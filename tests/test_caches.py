@@ -190,7 +190,7 @@ class TestSnapshotRestore:
 
     def test_restore_recovers_capture_digest(self):
         decoder, state = self.fresh()
-        snap = decode_snapshot(state, 0)
+        snap = decode_snapshot(state)
         self.mutate(decoder, state)
         assert state.digest() != snap.captured_digest
         decode_restore(state, snap)
@@ -199,12 +199,12 @@ class TestSnapshotRestore:
     def test_immediate_restore_is_noop(self):
         _, state = self.fresh()
         before = state.digest()
-        decode_restore(state, decode_snapshot(state, 0))
+        decode_restore(state, decode_snapshot(state))
         assert state.digest() == before
 
     def test_restore_is_idempotent(self):
         decoder, state = self.fresh()
-        snap = decode_snapshot(state, 0)
+        snap = decode_snapshot(state)
         self.mutate(decoder, state)
         decode_restore(state, snap)
         once = state.digest()
@@ -213,16 +213,16 @@ class TestSnapshotRestore:
 
     def test_snapshot_unaffected_by_later_mutation(self):
         decoder, state = self.fresh()
-        snap = decode_snapshot(state, 0)
+        snap = decode_snapshot(state)
         captured = snap.state_copy.carry.copy()
         self.mutate(decoder, state)
         assert np.array_equal(snap.state_copy.carry, captured)
 
     def test_interleaved_snapshots_restore_lifo(self):
         decoder, state = self.fresh()
-        snap_a = decode_snapshot(state, 0)
+        snap_a = decode_snapshot(state)
         self.mutate(decoder, state, 0)
-        snap_b = decode_snapshot(state, 1)
+        snap_b = decode_snapshot(state)
         self.mutate(decoder, state, 1)
         decode_restore(state, snap_b)
         assert state.digest() == snap_b.captured_digest
@@ -232,7 +232,7 @@ class TestSnapshotRestore:
     def test_incompatible_snapshot_rejected(self):
         _, state = self.fresh()
         other_geometry = (9, 7, 8, 8)
-        foreign = decode_snapshot(SynthDecodeState(np.zeros(4), 0, other_geometry), 0)
+        foreign = decode_snapshot(SynthDecodeState(np.zeros(4), 0, other_geometry))
         with pytest.raises(SnapshotMismatchError):
             decode_restore(state, foreign)
 
@@ -250,7 +250,7 @@ class SnapshotMachine(RuleBasedStateMachine):
 
     @rule(target=snapshots)
     def take_snapshot(self):
-        snap = decode_snapshot(self.state, self.block)
+        snap = decode_snapshot(self.state)
         oracle = copy.deepcopy((self.state.carry, self.state.blocks_decoded))
         return snap, oracle
 

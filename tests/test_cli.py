@@ -309,7 +309,7 @@ class TestSimulate:
         for i, doc in enumerate(outs[1]):
             summary = run_video_detailed(
                 config, PromptSpec(f"p{i:05d}"), stack.drafter, stack.target, stack.decoder,
-                stack.scorer, arm.arm.policy.for_run(42, arm.label, i), latency=cal.latency,
+                stack.scorer, arm.policy.for_run(42, arm.label, i), latency=cal.latency,
                 quality_fn=cal.proxy.run_quality,
             ).summary
             assert doc == summary_to_dict(summary)
@@ -426,6 +426,20 @@ class TestSimulate:
         # Each prompt's own total is finite, so its record was written.
         assert all(math.isfinite(json.loads(line)["total_time_s"])
                    for line in out.read_text().splitlines())
+
+    def test_quality_summed_over_prompts_overflowing_is_validation_error(
+        self, cal_path, tmp_path, capsys
+    ):
+        doc = json.loads(cal_path.read_text())
+        doc["quality_proxy"]["base_quality"] = 1e308
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps(doc))
+        args = ["simulate", "--calibration", str(cal), "--n", "3",
+                "--out", str(tmp_path / "runs.jsonl")]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert "the quality proxy over all prompts overflows a float" in err
+        assert "inf" not in err
 
     def test_closed_stdout_ends_the_run_quietly(self, cal_path, tmp_path, monkeypatch):
         class ClosedPipe(io.StringIO):
@@ -832,10 +846,30 @@ for argv in commands:
     assert main(argv) in (0, 1), argv[0]
     assert "scipy" not in sys.modules, argv[0]
 """
-        src = str(Path(specroute.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
+        _run_fresh(script)
+
+    def test_package_exports_only_the_public_surface(self):
+        script = """
+import sys, types
+import specroute
+public = {n for n, v in vars(specroute).items()
+          if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+assert public == {
+    "GeneratorInterface", "DecoderInterface", "ScorerInterface",
+    "ExternalTraceRecord", "TraceFormatError", "parse_trace", "serialize_records",
+    "Calibration", "CalibrationError", "build_synthetic_stack", "default_config",
+}, sorted(public)
+assert "specroute.sweep" not in sys.modules
+"""
+        _run_fresh(script)
+
+
+def _run_fresh(script: str) -> None:
+    """Run script in a fresh interpreter that imports this checkout's specroute."""
+    src = str(Path(specroute.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -227,6 +227,29 @@ OVERFLOW_MEAN_TRACE = "".join(
     for b, scores in enumerate([[0.0], [1e308, 1e308]])
 ).encode()
 NO_EDITS = {"cal": None, "table": None, "trace": None}
+# Outside values that error messages echo: each is about 100 KB in full.
+LONG_NAME = "x" * 100_000
+
+
+def _long_id_trace(blocks) -> bytes:
+    """Untimed records of one prompt with a LONG_NAME id."""
+    return "".join(
+        json.dumps({"prompt_id": LONG_NAME, "block_index": b, "frame_scores": [0.0]}) + "\n"
+        for b in blocks
+    ).encode()
+
+
+GAPPY_TRACE = _long_id_trace((0, 2))
+UNTIMED_TRACE = _long_id_trace((0, 1))
+UNSORTED_KNOTS = [(("draft_quality", "quantile_knots"), [[k % 2, 0.5] for k in range(20_000)])]
+EQUAL_TAU_ROW = {"method": "threshold", "tau": -1.0, "vr": 0.07, "time_s": 57.2,
+                 "accept_rate": 0.78}
+EQUAL_TAU_ROWS = [(("main",), [
+    {"method": "target_only", "vr": 0.08, "time_s": 97.0},
+    {"method": "draft_only", "vr": 0.06, "time_s": 25.7},
+    *[EQUAL_TAU_ROW] * 20_000,
+])]
+UNTIMED_LONG_METHOD = [(("main", 0, "method"), LONG_NAME), (("main", 0, "time_s"), None)]
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -255,6 +278,18 @@ NO_EDITS = {"cal": None, "table": None, "trace": None}
 @example(argv=["replay", "--trace", "@trace", "--tau", "-1", "--aggregation", "mean_frame",
                "--out", "@out"],
          files={**NO_EDITS, "trace": OVERFLOW_MEAN_TRACE})
+@example(argv=["simulate", "--calibration", "@cal", "--n", "3", "--out", "@out"],
+         files={**NO_EDITS, "cal": [(("quality_proxy", "base_quality"), 1e308)]})
+@example(argv=["replay", "--trace", "@trace", "--tau", "-1", "--out", "@out"],
+         files={**NO_EDITS, "trace": GAPPY_TRACE})
+@example(argv=["replay", "--trace", "@trace", "--tau", "-1", "--out", "@out"],
+         files={**NO_EDITS, "trace": UNTIMED_TRACE})
+@example(argv=["sweep", "--calibration", "@cal", "--n", "1", "--blocks", "1", "--out", "@out"],
+         files={**NO_EDITS, "cal": UNSORTED_KNOTS})
+@example(argv=["fit", "--table", "@table", "--out", "@out"],
+         files={**NO_EDITS, "table": EQUAL_TAU_ROWS})
+@example(argv=["fit", "--table", "@table", "--out", "@out"],
+         files={**NO_EDITS, "table": UNTIMED_LONG_METHOD})
 def test_cli_never_crashes(workdir, argv, files):
     _write_inputs(workdir, files)
     outputs = [workdir / "out", workdir / "out_json"]

@@ -402,7 +402,7 @@ class TestSyntheticComponents:
         config, drafter, _, decoder = parts
         state = decoder.fresh_state()
         block = drafter.generate(3, KVCache(CacheOwner.DRAFTER), 0, PromptSpec("p"))
-        snap = decode_snapshot(state, 0)
+        snap = decode_snapshot(state)
         decoder.decode(block, state)
         decode_restore(state, snap)
         assert state.digest() == snap.captured_digest
@@ -410,6 +410,6 @@ class TestSyntheticComponents:
     def test_mismatched_decoder_state_rejected(self, parts):
         config, _, _, decoder = parts
         small = SynthDecodeState(np.zeros(4), 0, (4, 12, 8, 8))
-        snap = decode_snapshot(small, 0)
+        snap = decode_snapshot(small)
         with pytest.raises(SnapshotMismatchError):
             decode_restore(decoder.fresh_state(), snap)
