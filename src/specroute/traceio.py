@@ -33,17 +33,30 @@ record's checked values.
 
 `parse_trace` reads its input line by line but returns every record in
 one list, and `replay` groups that list by prompt before routing, so
-memory grows with the size of the trace.
+memory grows with the size of the trace. Records of one prompt share one
+prompt-id string.
+
+`parse_trace` (and so `parse_trace_text` and `parse_trace_file`) and
+`replay` pause the process-wide cyclic garbage collector while they run.
+Records, score vectors, traces and run summaries hold no reference cycles,
+so a collection during these calls could free nothing, while over a 100k
+record trace the collector would scan the growing heap hundreds of times.
+Each call restores the caller's setting when it returns or raises, and
+reference counting frees everything else as usual; cyclic garbage made by
+a caller's line iterable or `quality_fn` waits for the next collection
+after the call.
 """
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import math
 import reprlib
 import sys
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -84,6 +97,8 @@ _OPTIONAL_NUMBER_TYPES = _NUMBER_TYPES | {type(None)}
 # What Producer(...) accepts other than a Producer: its values.
 _PRODUCERS = {p.value: p for p in Producer}
 _new_record = object.__new__
+# A decoder with json.loads's defaults; parse_trace calls its scanner directly.
+_scan_once = json.JSONDecoder().scan_once
 
 RECORDED = "recorded"
 MODELED = "modeled"
@@ -198,48 +213,84 @@ def _check_record(
     _set_producer(record, producer)
 
 
-def _record_from_obj(obj: object, line_number: int) -> ExternalTraceRecord:
-    """Check one JSON record's keys, then its values, and build it without rechecking."""
-    if not isinstance(obj, dict):
-        raise TraceFormatError("record must be a JSON object", line_number)
-    if not obj.keys() <= _KNOWN_KEYS:
-        unknown = obj.keys() - _KNOWN_KEYS
-        raise TraceFormatError(f"unknown fields {reprlib.repr(sorted(unknown))}", line_number)
-    if not obj.keys() >= _REQUIRED_KEYS:
-        missing = _REQUIRED_KEYS - obj.keys()
-        raise TraceFormatError(f"missing required fields {sorted(missing)}", line_number)
-    record = _new_record(ExternalTraceRecord)
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, then restore the caller's setting.
+
+    Safe around parse and replay because what they build holds no
+    reference cycles (see the module docstring).
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        _check_record(
-            record, obj["prompt_id"], obj["block_index"], obj["frame_scores"],
-            tuple(map(obj.get, _TIME_KEYS)), obj.get("producer_observed"),
-        )
-    except ValueError as exc:
-        raise TraceFormatError(str(exc), line_number) from None
-    return record
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
+@_collector_paused()
 def parse_trace(lines: Iterable[str]) -> list[ExternalTraceRecord]:
-    """Parse trace lines into a list; errors carry the offending line number."""
+    """Parse trace lines into a list; errors carry the offending line number.
+
+    A record whose prompt id equals the previous record's shares that
+    string object, so a trace grouped by prompt holds one id per prompt.
+    """
     records = []
+    append = records.append
+    prompt_id = None
     for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
+        # What json.loads(line) does, less its per-call work: the line is
+        # stripped, so the value must end where the line ends. On any failure
+        # json.loads decodes the line again and raises its exact error.
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"invalid JSON ({exc.msg})", line_number) from exc
+            obj, end = _scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line):
+            obj = _decode(line, line_number)
+        if not isinstance(obj, dict):
+            raise TraceFormatError("record must be a JSON object", line_number)
+        keys = obj.keys()
+        if not keys <= _KNOWN_KEYS:
+            unknown = keys - _KNOWN_KEYS
+            raise TraceFormatError(f"unknown fields {reprlib.repr(sorted(unknown))}", line_number)
+        if not keys >= _REQUIRED_KEYS:
+            missing = _REQUIRED_KEYS - keys
+            raise TraceFormatError(f"missing required fields {sorted(missing)}", line_number)
+        # Keep the previous record's id object when the text is the same.
+        line_prompt_id = obj["prompt_id"]
+        if line_prompt_id != prompt_id:
+            prompt_id = line_prompt_id
+        record = _new_record(ExternalTraceRecord)
+        try:
+            _check_record(
+                record, prompt_id, obj["block_index"], obj["frame_scores"],
+                tuple(map(obj.get, _TIME_KEYS)), obj.get("producer_observed"),
+            )
         except ValueError as exc:
-            # The only other ValueError: an integer literal over the digit limit.
-            limit = sys.get_int_max_str_digits()
-            raise TraceFormatError(
-                f"invalid JSON (integer literal of more than {limit} digits)", line_number
-            ) from exc
-        except RecursionError:
-            raise TraceFormatError("invalid JSON (nested too deeply)", line_number) from None
-        records.append(_record_from_obj(obj, line_number))
+            raise TraceFormatError(str(exc), line_number) from None
+        append(record)
     return records
+
+
+def _decode(line: str, line_number: int) -> object:
+    """json.loads(line), with its errors as TraceFormatErrors naming the line."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(f"invalid JSON ({exc.msg})", line_number) from exc
+    except ValueError as exc:
+        # The only other ValueError: an integer literal over the digit limit.
+        limit = sys.get_int_max_str_digits()
+        raise TraceFormatError(
+            f"invalid JSON (integer literal of more than {limit} digits)", line_number
+        ) from exc
+    except RecursionError:
+        raise TraceFormatError("invalid JSON (nested too deeply)", line_number) from None
 
 
 def parse_trace_text(text: str) -> list[ExternalTraceRecord]:
@@ -398,6 +449,7 @@ def _no_fallback(
     )
 
 
+@_collector_paused()
 def replay(
     records: Sequence[ExternalTraceRecord],
     tau: float,
@@ -421,6 +473,10 @@ def replay(
     # times, and so do latency params, so vectors and traces skip their checks.
     new_scores = FrameScoreVector.from_checked
     new_trace = BlockTrace.from_checked
+    # Every replayed block carries scores, so the model counts it as scored.
+    if latency is not None:
+        modeled_accept = latency.block_times(True, scored=True)
+        modeled_reject = latency.block_times(False, scored=True)
     runs = []
     for prompt_id, group in _group_by_prompt(records).items():
         group.sort(key=_block_index)
@@ -445,9 +501,8 @@ def replay(
             if missing:
                 if latency is None:
                     raise _no_fallback(prompt_id, b, (draft, decode, score, target))
-                # Every replayed block carries scores, so the model counts it as scored.
-                model_draft, model_score, model_target, model_decode = latency.block_times(
-                    accepted, scored=True
+                model_draft, model_score, model_target, model_decode = (
+                    modeled_accept if accepted else modeled_reject
                 )
                 if draft is None:
                     draft = model_draft

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
 import re
@@ -18,6 +19,7 @@ from specroute.synthmodels import build_synthetic_stack
 from specroute.traceio import (
     ExternalTraceRecord,
     TraceFormatError,
+    parse_trace,
     parse_trace_file,
     parse_trace_text,
     records_from_traces,
@@ -177,6 +179,35 @@ class TestParse:
         assert [r.block_index for r in records] == [0, 1, 2]
         assert parse_trace_text(text) == records
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ('\ufeff{"prompt_id":"p0","block_index":0,"frame_scores":[0.5]}',
+             "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+            ('{"prompt_id":"p0","block_index":0,"frame_scores":[0.5]}x', "Extra data"),
+            ('{"prompt_id":"p0","block_index":0', "Expecting ',' delimiter"),
+            ("]", "Expecting value"),
+        ],
+        ids=["bom", "trailing_data", "truncated", "bare_bracket"],
+    )
+    def test_invalid_json_message_is_the_decoders(self, line, reason):
+        with pytest.raises(TraceFormatError) as exc:
+            parse_trace_text(line + "\n")
+        assert str(exc.value) == f"line 1: invalid JSON ({reason})"
+
+    def test_nan_score_reaches_the_checker(self):
+        line = '{"prompt_id":"p0","block_index":0,"frame_scores":[0.5,NaN]}'
+        with pytest.raises(TraceFormatError) as exc:
+            parse_trace_text(line + "\n")
+        assert str(exc.value) == "line 1: frame_scores must be finite"
+
+    def test_records_of_one_prompt_share_its_id_string(self):
+        text = serialize_records(make_records("p0", num_blocks=3) + make_records("p1", num_blocks=2))
+        records = parse_trace_text(text)
+        assert [r.prompt_id for r in records] == ["p0"] * 3 + ["p1"] * 2
+        assert records[0].prompt_id is records[1].prompt_id is records[2].prompt_id
+        assert records[3].prompt_id is records[4].prompt_id
+
     def test_deep_nesting_names_line(self):
         with pytest.raises(TraceFormatError, match="line 1: invalid JSON"):
             parse_trace_text("[" * 100_000 + "\n")
@@ -195,6 +226,62 @@ class TestParse:
         path.write_bytes(b'{broken\n{"prompt_id":"\xff"}\n')
         with pytest.raises(TraceFormatError, match="line 1: invalid JSON"):
             parse_trace_file(path)
+
+
+def _parse_file(tmp_path, text):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(text)
+    return parse_trace_file(path)
+
+
+_GOOD_TRACE = serialize_records(make_records(num_blocks=2))
+_UNTIMED_TRACE = serialize_records(make_records(num_blocks=2, with_times=False))
+
+# (call, raises): each parse and replay entry point, returning and failing.
+_COLLECTOR_CALLS = {
+    "parse_text": (lambda tmp_path: parse_trace_text(_GOOD_TRACE), False),
+    "parse_text_bad_line": (lambda tmp_path: parse_trace_text(_GOOD_TRACE + "{broken\n"), True),
+    "parse_file": (lambda tmp_path: _parse_file(tmp_path, _GOOD_TRACE), False),
+    "parse_file_bad_line": (lambda tmp_path: _parse_file(tmp_path, _GOOD_TRACE + "]\n"), True),
+    "replay": (lambda tmp_path: replay(parse_trace_text(_GOOD_TRACE), tau=0.0), False),
+    "replay_no_timing": (lambda tmp_path: replay(parse_trace_text(_UNTIMED_TRACE), tau=0.0), True),
+}
+
+
+class TestCollectorPause:
+    """Parse and replay pause the cyclic collector and hand back the caller's setting."""
+
+    @pytest.fixture(params=[True, False], ids=["gc_enabled", "gc_disabled"])
+    def caller_gc(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("name", list(_COLLECTOR_CALLS))
+    def test_caller_setting_is_restored(self, caller_gc, name, tmp_path):
+        call, raises = _COLLECTOR_CALLS[name]
+        if raises:
+            with pytest.raises(TraceFormatError):
+                call(tmp_path)
+        else:
+            call(tmp_path)
+        assert gc.isenabled() is caller_gc
+
+    def test_collector_is_paused_while_parsing_and_replaying(self, caller_gc):
+        seen = []
+
+        def lines():
+            for line in _GOOD_TRACE.splitlines():
+                seen.append(gc.isenabled())
+                yield line
+
+        def quality(traces):
+            seen.append(gc.isenabled())
+            return 0.0
+
+        replay(parse_trace(lines()), tau=0.0, quality_fn=quality)
+        assert seen == [False] * 3
 
 
 prompt_ids = st.text(
