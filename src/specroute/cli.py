@@ -54,6 +54,7 @@ from .traceio import (
     records_from_traces,
     replay,
     serialize_records,
+    write_replay_report,
 )
 
 EXIT_PARETO = 1
@@ -101,15 +102,33 @@ def _writing(flag: str, path):
 
 @contextmanager
 def _output(flag: str, path: str):
-    """The write function of an output file, opened now; see _writing for its failures."""
-    with _writing(flag, path), open(path, "w", encoding="utf-8") as fh:
-        yield fh.write
+    """The write function of an output file opened now, or of stdout for "-".
+
+    Opening, writing, flushing and closing fail as _writing says. Each
+    write is guarded on its own, so its failure names this output even
+    while another output is open around it. stdout is flushed inside the
+    guard.
+    """
+    with _writing(flag, path):
+        if path == "-":
+            yield _guarded(sys.stdout.write, flag, path)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                yield _guarded(fh.write, flag, path)
+
+
+def _guarded(write, flag: str, path: str):
+    """`write`, failing as _writing says for this output."""
+
+    def guarded_write(text: str) -> None:
+        with _writing(flag, path):
+            write(text)
+
+    return guarded_write
 
 
 def _write_text(flag: str, path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-        return
     with _output(flag, path) as write:
         write(text)
 
@@ -183,8 +202,7 @@ def cmd_simulate(args) -> int:
 
     accept_sum = time_sum = quality_sum = 0.0
     with ExitStack() as outputs:
-        write_run = (sys.stdout.write if args.out == "-"
-                     else outputs.enter_context(_output("--out", args.out)))
+        write_run = outputs.enter_context(_output("--out", args.out))
         if args.export_trace:
             write_trace = outputs.enter_context(_output("--export-trace", args.export_trace))
         try:
@@ -298,19 +316,8 @@ def cmd_replay(args) -> int:
         # A TraceFormatError, or recorded timings whose total overflows.
         raise CliFailure(EXIT_VALIDATION, f"replay: {exc}") from exc
 
-    doc = {
-        "schema_version": 1,
-        "tau": args.tau,
-        "aggregation": args.aggregation,
-        "runs": [
-            {
-                **summary_to_dict(r.summary),
-                "timing_provenance": list(r.timing_provenance),
-            }
-            for r in runs
-        ],
-    }
-    _write_text("--out", args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with _output("--out", args.out) as write:
+        write_replay_report(write, runs, args.tau, args.aggregation)
     for r in runs:
         s = r.summary
         _info(

@@ -38,7 +38,7 @@ TARGET_ONLY = "target_only"
 DRAFT_ONLY = "draft_only"
 
 # Blocks per video in the reference table's protocol. Every fit of the
-# table's rows, and synthetic_table's inverse of those fits, assumes this.
+# table's rows assumes this.
 TABLE_NUM_BLOCKS = 9
 
 # Share of the fitted draft-path cost booked as c_decode. End-to-end times

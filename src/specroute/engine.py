@@ -39,6 +39,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import islice
+from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .caches import CacheOwner, KVCache, RestorableState, decode_restore, decode_snapshot
@@ -216,6 +218,9 @@ def run_arms_detailed(
     return results
 
 
+_accepted = attrgetter("decision.accepted")
+
+
 def summarize_run(
     prompt_id: str,
     traces: Sequence[BlockTrace],
@@ -230,7 +235,7 @@ def summarize_run(
     """
     traces = tuple(traces)
     num_blocks = len(traces)
-    accepted = sum(1 for t in traces[1:] if t.decision.accepted)
+    accepted = sum(map(_accepted, islice(traces, 1, None)))
     return RunSummary(
         prompt_id=prompt_id,
         accept_rate_excl_block0=accepted / (num_blocks - 1) if num_blocks > 1 else 0.0,

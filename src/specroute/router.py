@@ -46,7 +46,7 @@ def aggregate(scores: FrameScoreVector, mode: AggregationMode) -> float:
     mean, which finite scores can push past float range, is checked here.
     """
     if mode is AggregationMode.MIN_FRAME:
-        return scores.minimum()
+        return min(scores.scores)
     if mode is AggregationMode.MEAN_FRAME:
         q = scores.mean()
         if not math.isfinite(q):
@@ -79,7 +79,7 @@ class Policy:
         return self.force_reject_block0 and block_index == 0
 
     def decide(self, block_index: int, q: float | None) -> DecisionReason:
-        if self.forces_rejection(block_index):
+        if self.force_reject_block0 and block_index == 0:
             return _FORCED
         return self._decide_unforced(block_index, q)
 

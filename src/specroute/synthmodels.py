@@ -59,7 +59,6 @@ from .costmodel import (
     TARGET_ONLY,
     LatencyFitReport,
     LatencyParams,
-    expected_rejected_blocks,
     fit_latencies,
 )
 from .engine import DecoderInterface, GeneratorInterface, ScorerInterface
@@ -78,8 +77,6 @@ __all__ = [
     "load_reference_table",
     "Calibration",
     "fit_calibration",
-    "synthetic_table",
-    "table_to_json_dict",
     "SynthDecodeState",
     "SyntheticDrafter",
     "SyntheticTarget",
@@ -296,14 +293,15 @@ class QualityProxyModel:
 
     def run_quality(self, traces: Sequence[BlockTrace]) -> float:
         total = self.base_quality
+        penalty = self.penalty
         for t in traces:
-            if not t.decision.accepted:
-                continue
-            if t.frame_scores is None:
-                raise ValueError(
-                    f"accepted block {t.block_index} has no frame scores to penalize"
-                )
-            total -= self.penalty(t.frame_scores.minimum())
+            if t.decision.accepted:
+                scores = t.frame_scores
+                if scores is None:
+                    raise ValueError(
+                        f"accepted block {t.block_index} has no frame scores to penalize"
+                    )
+                total -= penalty(min(scores.scores))
         if not math.isfinite(total):
             raise ValueError(f"quality proxy of {len(traces)} blocks overflows a float")
         return total
@@ -662,81 +660,6 @@ def _non_numbers(value, path: str):
             finite = False
         if not finite:
             yield path, value
-
-
-def synthetic_table(calibration: Calibration) -> ReferenceTable:
-    """Model-predicted table at the calibration's own knots.
-
-    Refitting this table reproduces the calibration exactly (the rows are
-    generated by the fitted models, so every fit is a zero-residual
-    fixed point). Useful as a self-consistency oracle.
-    """
-    quantile, latency, proxy = calibration.quantile, calibration.latency, calibration.proxy
-    b = TABLE_NUM_BLOCKS
-    t_target = b * latency.c_target
-    draft_path = b * latency.draft_path_cost
-
-    def run_time(rate: float) -> float:
-        return draft_path + expected_rejected_blocks(rate, b) * latency.c_target
-
-    main = [
-        TableRow(method=TARGET_ONLY, vr=proxy.base_quality, time_s=t_target, speedup=1.0)
-    ]
-    for tau, rate in quantile.quantile_knots:
-        vr = proxy.base_quality - (b - 1) * proxy.expected_penalty_above(quantile, tau)
-        time_s = run_time(rate)
-        main.append(
-            TableRow(
-                method="threshold",
-                tau=tau,
-                vr=vr,
-                time_s=time_s,
-                speedup=t_target / time_s,
-                accept_rate=rate,
-            )
-        )
-    vr_draft = proxy.base_quality - b * proxy.expected_penalty_above(quantile, float("-inf"))
-    main.append(
-        TableRow(
-            method=DRAFT_ONLY, vr=vr_draft, time_s=draft_path, speedup=t_target / draft_path
-        )
-    )
-
-    ablation = []
-    for tau in (-0.2, -0.5, -0.7):
-        shifted = tau - quantile.frame_gap_mean
-        rate = quantile.accept_rate(shifted)
-        vr = proxy.base_quality - (b - 1) * proxy.expected_penalty_above(quantile, shifted)
-        time_s = run_time(rate)
-        ablation.append(
-            TableRow(
-                method="avg_frame",
-                tau=tau,
-                vr=vr,
-                time_s=time_s,
-                speedup=t_target / time_s,
-                accept_rate=rate,
-            )
-        )
-    return ReferenceTable(main=tuple(main), ablation=tuple(ablation))
-
-
-def table_to_json_dict(table: ReferenceTable) -> dict:
-    def row(r: TableRow) -> dict:
-        return {
-            "method": r.method,
-            "tau": r.tau,
-            "vr": r.vr,
-            "time_s": r.time_s,
-            "speedup": r.speedup,
-            "accept_rate": r.accept_rate,
-        }
-
-    return {
-        "schema_version": 1,
-        "main": [row(r) for r in table.main],
-        "ablation": [row(r) for r in table.ablation],
-    }
 
 
 def fit_calibration(

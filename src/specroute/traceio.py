@@ -25,16 +25,24 @@ record rules, types and values alike, and both the parser and the
 ExternalTraceRecord constructor call it, so a record a pipeline builds
 serializes to a line the parser accepts and a refused one gets the
 parser's message. Types are compared exactly: true is not a number, and a
-string or numpy scalar is not one either. The parser checks only the keys
-itself, then builds each record from the checker's values without running
-it again; FrameScoreVector checks that engine scores are non-empty and
-finite, and `replay` builds each block's score vector and trace from the
-record's checked values.
+string or numpy scalar is not one either. The checker's leading test
+accepts the common record (a str id, an int index >= 0, floats with a
+finite sum, float or absent times in range, a known producer) and stores
+it at once; any other record goes through the ordered rules, so outcomes
+and messages are those of the rules. The parser checks only the UTF-8 and
+the keys itself, then builds each record from the checker's values
+without running it again; FrameScoreVector checks that engine scores are
+non-empty and finite, and `replay` builds each block's score vector and
+trace from the record's checked values.
 
 `parse_trace` reads its input line by line but returns every record in
 one list, and `replay` groups that list by prompt before routing, so
 memory grows with the size of the trace. Records of one prompt share one
 prompt-id string.
+
+`write_replay_report` writes the report of `specroute replay` run by run,
+with the exact bytes of `json.dumps(doc, indent=2, sort_keys=True)` and
+a final newline, so the document and its text are never held whole.
 
 `parse_trace` (and so `parse_trace_text` and `parse_trace_file`) and
 `replay` pause the process-wide cyclic garbage collector while they run.
@@ -52,12 +60,13 @@ from __future__ import annotations
 import gc
 import io
 import json
-import math
 import reprlib
 import sys
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
+from math import inf, isfinite
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -67,6 +76,7 @@ from .core import (
     FrameScoreVector,
     Producer,
     RunSummary,
+    _float_or_none,
     all_finite,
 )
 from .costmodel import LatencyParams
@@ -84,6 +94,7 @@ __all__ = [
     "records_from_traces",
     "ReplayedRun",
     "replay",
+    "write_replay_report",
 ]
 
 _REQUIRED_KEYS = frozenset({"prompt_id", "block_index", "frame_scores"})
@@ -96,6 +107,10 @@ _FLOAT_ONLY = frozenset({float})
 _OPTIONAL_NUMBER_TYPES = _NUMBER_TYPES | {type(None)}
 # What Producer(...) accepts other than a Producer: its values.
 _PRODUCERS = {p.value: p for p in Producer}
+# A producer value as stored, keyed by what the checker's leading test
+# accepts (a member equals its value, so it finds itself).
+_PRODUCER_OF = {None: None, **_PRODUCERS}
+_PRODUCER_TYPES = frozenset({type(None), Producer, str})
 _new_record = object.__new__
 # A decoder with json.loads's defaults; parse_trace calls its scanner directly.
 _scan_once = json.JSONDecoder().scan_once
@@ -137,10 +152,9 @@ class ExternalTraceRecord:
     producer_observed: Producer | None = None
 
     def __post_init__(self) -> None:
-        times = (self.draft_time_s, self.target_time_s, self.decode_time_s, self.score_time_s)
         _check_record(
-            self, self.prompt_id, self.block_index, self.frame_scores, times,
-            self.producer_observed,
+            self, self.prompt_id, self.block_index, self.frame_scores, self.draft_time_s,
+            self.target_time_s, self.decode_time_s, self.score_time_s, self.producer_observed,
         )
 
 
@@ -148,6 +162,7 @@ class ExternalTraceRecord:
 _set_prompt_id, _set_block_index, _set_frame_scores, *_TIME_SETTERS, _set_producer = (
     vars(ExternalTraceRecord)[f.name].__set__ for f in fields(ExternalTraceRecord)
 )
+_set_draft_time, _set_target_time, _set_decode_time, _set_score_time = _TIME_SETTERS
 
 
 def _producer(value: object) -> Producer:
@@ -164,7 +179,10 @@ def _check_record(
     prompt_id: object,
     block_index: object,
     scores: object,
-    times: tuple,
+    draft: object,
+    target: object,
+    decode: object,
+    score: object,
     producer: object,
 ) -> None:
     """Check one record's values and store them in its slots, numbers as floats.
@@ -173,7 +191,33 @@ def _check_record(
     constructor alike. Types are compared exactly, as JSON yields them:
     true and false are not integers or numbers here. The first failing
     rule raises its ValueError.
+
+    A leading test accepts the common record, whose values need no
+    conversion: a non-empty str id, an int index >= 0, a list or tuple of
+    floats with a finite sum, float times in [0, inf) or None, and a
+    producer that is None, a Producer or its value. Anything else goes
+    through the ordered rules, which give every message.
     """
+    if (
+        type(prompt_id) is str and prompt_id
+        and type(block_index) is int and block_index >= 0
+        and type(scores) in _ARRAY_TYPES and set(map(type, scores)) == _FLOAT_ONLY
+        and isfinite(sum(scores))
+        and (draft is None or type(draft) is float and 0.0 <= draft < inf)
+        and (target is None or type(target) is float and 0.0 <= target < inf)
+        and (decode is None or type(decode) is float and 0.0 <= decode < inf)
+        and (score is None or type(score) is float and 0.0 <= score < inf)
+        and type(producer) in _PRODUCER_TYPES and producer in _PRODUCER_OF
+    ):
+        _set_prompt_id(record, prompt_id)
+        _set_block_index(record, block_index)
+        _set_frame_scores(record, tuple(scores))
+        _set_draft_time(record, draft)
+        _set_target_time(record, target)
+        _set_decode_time(record, decode)
+        _set_score_time(record, score)
+        _set_producer(record, _PRODUCER_OF[producer])
+        return
     if not isinstance(prompt_id, str) or not prompt_id:
         raise ValueError("prompt_id must be a non-empty string")
     if type(block_index) is not int:
@@ -185,6 +229,7 @@ def _check_record(
         raise ValueError("frame_scores must contain only numbers")
     if producer is not None and type(producer) is not Producer:
         producer = _producer(producer)
+    times = (draft, target, decode, score)
     if not set(map(type, times)) <= _OPTIONAL_NUMBER_TYPES:
         key = next(k for k, v in zip(_TIME_KEYS, times) if type(v) not in _OPTIONAL_NUMBER_TYPES)
         raise ValueError(f"{key} must be a number")
@@ -207,7 +252,7 @@ def _check_record(
                 except OverflowError:
                     raise ValueError(f"{name} must fit in a float") from None
             # Also false for NaN.
-            if not 0.0 <= val < math.inf:
+            if not 0.0 <= val < inf:
                 raise ValueError(f"{name} must be a non-negative finite number")
         set_time(record, val)
     _set_producer(record, producer)
@@ -233,48 +278,70 @@ def _collector_paused() -> Iterator[None]:
 def parse_trace(lines: Iterable[str]) -> list[ExternalTraceRecord]:
     """Parse trace lines into a list; errors carry the offending line number.
 
-    A record whose prompt id equals the previous record's shares that
-    string object, so a trace grouped by prompt holds one id per prompt.
+    A line holding a lone surrogate is not UTF-8 text and is refused.
+    parse_trace_file keeps each undecodable byte as one, so the message
+    names the byte. A record whose prompt id equals the previous record's
+    shares that string object, so a trace grouped by prompt holds one id
+    per prompt.
     """
     records = []
     append = records.append
+    new_record = _new_record
+    check = _check_record
+    scan_once = _scan_once
+    known_keys = _KNOWN_KEYS
+    required_keys = _REQUIRED_KEYS
     prompt_id = None
     for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
+        # A lone surrogate is not ASCII, so an ASCII line needs no encode check.
+        if not line.isascii():
+            _check_utf8(line, line_number)
         # What json.loads(line) does, less its per-call work: the line is
         # stripped, so the value must end where the line ends. On any failure
         # json.loads decodes the line again and raises its exact error.
         try:
-            obj, end = _scan_once(line, 0)
+            obj, end = scan_once(line, 0)
         except (StopIteration, ValueError, RecursionError):
             end = -1
         if end != len(line):
             obj = _decode(line, line_number)
-        if not isinstance(obj, dict):
+        if type(obj) is not dict:
             raise TraceFormatError("record must be a JSON object", line_number)
         keys = obj.keys()
-        if not keys <= _KNOWN_KEYS:
-            unknown = keys - _KNOWN_KEYS
+        if not keys <= known_keys:
+            unknown = keys - known_keys
             raise TraceFormatError(f"unknown fields {reprlib.repr(sorted(unknown))}", line_number)
-        if not keys >= _REQUIRED_KEYS:
-            missing = _REQUIRED_KEYS - keys
+        if not keys >= required_keys:
+            missing = required_keys - keys
             raise TraceFormatError(f"missing required fields {sorted(missing)}", line_number)
         # Keep the previous record's id object when the text is the same.
         line_prompt_id = obj["prompt_id"]
         if line_prompt_id != prompt_id:
             prompt_id = line_prompt_id
-        record = _new_record(ExternalTraceRecord)
+        record = new_record(ExternalTraceRecord)
+        get = obj.get
         try:
-            _check_record(
-                record, prompt_id, obj["block_index"], obj["frame_scores"],
-                tuple(map(obj.get, _TIME_KEYS)), obj.get("producer_observed"),
+            check(
+                record, prompt_id, obj["block_index"], obj["frame_scores"], get("draft_time_s"),
+                get("target_time_s"), get("decode_time_s"), get("score_time_s"),
+                get("producer_observed"),
             )
         except ValueError as exc:
             raise TraceFormatError(str(exc), line_number) from None
         append(record)
     return records
+
+
+def _check_utf8(line: str, line_number: int) -> None:
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        code = ord(line[exc.start])
+        what = f"byte 0x{code - 0xDC00:02x}" if 0xDC80 <= code <= 0xDCFF else f"U+{code:04X}"
+        raise TraceFormatError(f"invalid UTF-8 ({what})", line_number) from None
 
 
 def _decode(line: str, line_number: int) -> object:
@@ -304,19 +371,7 @@ def parse_trace_file(path: str | Path) -> list[ExternalTraceRecord]:
     # line. Undecodable bytes are kept as lone surrogates instead, and the
     # parse stops at the first line that holds one (or at any earlier error).
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        return parse_trace(_utf8_lines(fh))
-
-
-def _utf8_lines(lines: Iterable[str]) -> Iterator[str]:
-    for line_number, line in enumerate(lines, start=1):
-        # A lone surrogate is not ASCII, so an ASCII line needs no encode check.
-        if not line.isascii():
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                byte = ord(line[exc.start]) - 0xDC00
-                raise TraceFormatError(f"invalid UTF-8 (byte 0x{byte:02x})", line_number) from None
-        yield line
+        return parse_trace(fh)
 
 
 def serialize_record(record: ExternalTraceRecord) -> str:
@@ -468,7 +523,8 @@ def replay(
 
     Pure over its inputs: two replays of the same records agree exactly.
     """
-    policy = ThresholdPolicy(tau=tau, force_reject_block0=force_reject_block0)
+    decide = ThresholdPolicy(tau=tau, force_reject_block0=force_reject_block0).decide
+    aggregate_scores = aggregate
     # Records hold non-empty finite float scores and non-negative finite
     # times, and so do latency params, so vectors and traces skip their checks.
     new_scores = FrameScoreVector.from_checked
@@ -479,44 +535,176 @@ def replay(
         modeled_reject = latency.block_times(False, scored=True)
     runs = []
     for prompt_id, group in _group_by_prompt(records).items():
-        group.sort(key=_block_index)
-        _check_contiguous(prompt_id, list(map(_block_index, group)))
+        if list(map(_block_index, group)) != list(range(len(group))):
+            group.sort(key=_block_index)
+            _check_contiguous(prompt_id, list(map(_block_index, group)))
         traces: list[BlockTrace] = []
         provenance: list[str] = []
+        add_trace = traces.append
+        add_source = provenance.append
         for b, record in enumerate(group):
             scores = new_scores(b, record.frame_scores)
-            q = aggregate(scores, aggregation)
-            decision = policy.decide(b, q)
-            accepted = decision.accepted
+            q = aggregate_scores(scores, aggregation)
+            decision = decide(b, q)
             draft, decode, score = record.draft_time_s, record.decode_time_s, record.score_time_s
-            needed = 3
-            missing = (draft is None) + (decode is None) + (score is None)
-            if accepted:
-                target = 0.0
-            else:
-                # A recorded 0 means the factual run accepted this block.
-                target = record.target_time_s or None
-                needed = 4
-                missing += target is None
-            if missing:
-                if latency is None:
-                    raise _no_fallback(prompt_id, b, (draft, decode, score, target))
-                model_draft, model_score, model_target, model_decode = (
-                    modeled_accept if accepted else modeled_reject
+            # A recorded target time of 0 means the factual run accepted the block.
+            target = 0.0 if decision.accepted else record.target_time_s or None
+            if draft is None or decode is None or score is None or target is None:
+                draft, decode, score, target, source = _fill_times(
+                    prompt_id, b, decision.accepted, draft, decode, score, target,
+                    (modeled_accept if decision.accepted else modeled_reject)
+                    if latency is not None else None,
                 )
-                if draft is None:
-                    draft = model_draft
-                if decode is None:
-                    decode = model_decode
-                if score is None:
-                    score = model_score
-                if target is None:
-                    target = model_target
-                provenance.append(MODELED if missing == needed else MIXED)
+                add_source(source)
             else:
-                provenance.append(RECORDED)
-            traces.append(new_trace(b, decision, q, scores, draft, score, target, decode))
+                add_source(RECORDED)
+            add_trace(new_trace(b, decision, q, scores, draft, score, target, decode))
 
         summary = summarize_run(prompt_id, traces, latency, quality_fn)
         runs.append(ReplayedRun(summary, tuple(provenance)))
     return runs
+
+
+def _fill_times(
+    prompt_id: str,
+    block_index: int,
+    accepted: bool,
+    draft: float | None,
+    decode: float | None,
+    score: float | None,
+    target: float | None,
+    modeled: tuple[float, float, float, float] | None,
+) -> tuple[float, float, float, float, str]:
+    """Fill a block's missing times from its modelled (draft, score, target, decode) times.
+
+    Returns the filled draft, decode, score and target times and their
+    provenance; with no model, names the first missing time.
+    """
+    if modeled is None:
+        raise _no_fallback(prompt_id, block_index, (draft, decode, score, target))
+    model_draft, model_score, model_target, model_decode = modeled
+    missing = (draft is None) + (decode is None) + (score is None) + (target is None)
+    # An accepted block needs no target time, so three can be missing.
+    needed = 3 if accepted else 4
+    if draft is None:
+        draft = model_draft
+    if decode is None:
+        decode = model_decode
+    if score is None:
+        score = model_score
+    if target is None:
+        target = model_target
+    return draft, decode, score, target, MODELED if missing == needed else MIXED
+
+
+# ---------------------------------------------------------------------------
+# Replay report
+# ---------------------------------------------------------------------------
+
+
+def write_replay_report(
+    write: Callable[[str], object],
+    runs: Iterable[ReplayedRun],
+    tau: float,
+    aggregation: str,
+) -> None:
+    """Write the replay report through `write`, one run at a time.
+
+    The text is exactly json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    for doc = {"schema_version": 1, "tau": tau, "aggregation": aggregation,
+    "runs": [...]}, where each run is summary_to_dict(run.summary) plus
+    "timing_provenance": list(run.timing_provenance). NaN quality is
+    written as null. The sorted top-level keys put "runs" between the
+    aggregation and the schema version, so the head is written first, then
+    each run as `runs` yields it, then the tail; the whole document is
+    never held in memory.
+    """
+    write('{\n  "aggregation": ' + _json_scalar(aggregation) + ',\n  "runs": [')
+    separator = "\n    "
+    for run in runs:
+        write(separator + _run_json(run))
+        separator = ",\n    "
+    close = "]" if separator == "\n    " else "\n  ]"
+    write(close + ',\n  "schema_version": 1,\n  "tau": ' + _json_scalar(tau) + "\n}\n")
+
+
+def _run_json(run: ReplayedRun) -> str:
+    """One run's object as json.dumps writes it at depth 2 (its first line unindented)."""
+    s = run.summary
+    return (
+        '{\n      "accept_rate_excl_block0": ' + _json_scalar(s.accept_rate_excl_block0)
+        + ',\n      "block_traces": ' + _json_array(list(map(_trace_json, s.block_traces)), 3)
+        + ',\n      "prompt_id": ' + _json_scalar(s.prompt_id)
+        + ',\n      "quality_proxy": ' + _json_scalar(_float_or_none(s.quality_proxy))
+        + ',\n      "timing_provenance": ' + _json_scalars(run.timing_provenance, 3)
+        + ',\n      "total_time_s": ' + _json_scalar(s.total_time_s)
+        + "\n    }"
+    )
+
+
+def _trace_json(t: BlockTrace) -> str:
+    """One block trace's object as json.dumps writes it at depth 4 (its first line unindented)."""
+    decision = t.decision
+    scores = t.frame_scores
+    numbers = (t.aggregate_score, t.decode_time_s, t.draft_time_s, t.score_time_s, t.target_time_s)
+    if set(map(type, numbers)) == _FLOAT_ONLY and isfinite(sum(numbers)):
+        # repr of a finite float is what json writes for it.
+        aggregate_score, decode, draft, score, target = map(_FLOAT_REPR, numbers)
+    else:
+        aggregate_score = _json_scalar(_float_or_none(t.aggregate_score))
+        decode, draft, score, target = map(_json_scalar, numbers[1:])
+    return _TRACE_JSON % (
+        aggregate_score,
+        _json_scalar(t.block_index),
+        decode,
+        draft,
+        "null" if scores is None else _json_scalars(scores.scores, 5),
+        _json_scalar(decision.value),
+        score,
+        target,
+        "accept" if decision.accepted else "reject",
+    )
+
+
+_TRACE_JSON = (
+    '{\n          "aggregate_score": %s,\n          "block_index": %s,'
+    '\n          "decode_time_s": %s,\n          "draft_time_s": %s,'
+    '\n          "frame_scores": %s,\n          "reason": %s,'
+    '\n          "score_time_s": %s,\n          "target_time_s": %s,'
+    '\n          "verdict": "%s"\n        }'
+)
+_FLOAT_REPR = float.__repr__
+
+
+def _json_array(items: list[str], depth: int) -> str:
+    """A list of encoded items, `depth` levels deep, laid out as json.dumps(indent=2) does."""
+    if not items:
+        return "[]"
+    indent = "\n" + "  " * (depth + 1)
+    return "[" + indent + ("," + indent).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json_scalars(values: Sequence, depth: int) -> str:
+    """A list of scalars; one that holds only finite floats is encoded in one pass."""
+    if set(map(type, values)) == _FLOAT_ONLY and all_finite(values):
+        return _json_array(list(map(_FLOAT_REPR, values)), depth)
+    return _json_array(list(map(_json_scalar, values)), depth)
+
+
+def _json_scalar(o: object) -> str:
+    """json.dumps(o) for a string, None, bool, int or float, by json's own rules."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if isfinite(o):
+            return _FLOAT_REPR(o)
+        return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")

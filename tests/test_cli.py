@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import math
@@ -23,9 +24,8 @@ from specroute.synthmodels import (
     build_synthetic_stack,
     fit_calibration,
     load_reference_table,
-    synthetic_table,
-    table_to_json_dict,
 )
+from tables import synthetic_table, table_to_json_dict
 
 
 HUGE_LATENCY = {"c_draft": 1e308, "c_target": 1e308}
@@ -635,6 +635,68 @@ class TestAblate:
         ]) == 0
         rows = {line.split(",")[0]: line.split(",") for line in out.read_text().strip().splitlines()[1:]}
         assert float(rows["random(rate=0.7)"][1]) < float(rows["threshold(tau=-0.7)"][1])
+
+
+def _stdout_commands(cal_path, tmp_path):
+    """Each command writing to stdout ("-"): the default --out, and sweep's --out-json."""
+    cal = ["--calibration", str(cal_path)]
+    trace = tmp_path / "trace.jsonl"
+    assert main(["simulate", "--n", "2", "--out", str(tmp_path / "runs.jsonl"),
+                 "--export-trace", str(trace)] + cal) == 0
+    return {
+        "simulate": (["simulate", "--n", "2"] + cal, "--out"),
+        "sweep": (["sweep", "--n", "2"] + cal, "--out"),
+        "sweep-out-json": (["sweep", "--n", "2", "--out", str(tmp_path / "s.csv"),
+                            "--out-json", "-"] + cal, "--out-json"),
+        "ablate": (["ablate", "--n", "2"] + cal, "--out"),
+        "replay": (["replay", "--trace", str(trace), "--tau", "-0.7"] + cal, "--out"),
+    }
+
+
+_STDOUT_CASES = ["simulate", "sweep", "sweep-out-json", "ablate", "replay"]
+
+
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestFullStdout:
+    """A failing stdout is an unwritable output: exit 2 naming the flag, no traceback."""
+
+    @pytest.mark.parametrize("case", _STDOUT_CASES)
+    def test_stdout_raising_enospc(self, cal_path, tmp_path, capsys, monkeypatch, case):
+        args, flag = _stdout_commands(cal_path, tmp_path)[case]
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", _FullStdout())
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {flag} -: No space left on device" in err
+        assert "Traceback" not in err
+
+    def test_stdout_failing_beside_another_output_names_stdout(
+        self, cal_path, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(sys, "stdout", _FullStdout())
+        assert main(["simulate", "--n", "2", "--calibration", str(cal_path),
+                     "--export-trace", str(tmp_path / "t.jsonl")]) == 2
+        assert "error: cannot write --out -: No space left on device" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("case", _STDOUT_CASES)
+    def test_stdout_on_a_full_device(self, cal_path, tmp_path, case):
+        args, flag = _stdout_commands(cal_path, tmp_path)[case]
+        src = str(Path(specroute.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "specroute.cli"] + args, stdout=full,
+                stderr=subprocess.PIPE, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": path},
+            )
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert f"error: cannot write {flag} -: No space left on device" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestReplayCommand:

@@ -32,8 +32,8 @@ from specroute.synthmodels import (
     fit_quality_proxy,
     fit_quantile,
     load_reference_table,
-    synthetic_table,
 )
+from tables import synthetic_table
 
 KNOTS = [
     (-0.7, 0.731),

@@ -5,19 +5,29 @@ import gc
 import json
 import math
 import re
+import reprlib
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specroute.core import Producer, PromptSpec
+from specroute.core import (
+    BlockTrace,
+    DecisionReason,
+    FrameScoreVector,
+    Producer,
+    PromptSpec,
+    RunSummary,
+    summary_to_dict,
+)
 from specroute.costmodel import LatencyParams, OverlapMode, simulate_time
 from specroute.engine import run_video_detailed
 from specroute.router import AggregationMode, ThresholdPolicy
 from specroute.synthmodels import build_synthetic_stack
 from specroute.traceio import (
     ExternalTraceRecord,
+    ReplayedRun,
     TraceFormatError,
     parse_trace,
     parse_trace_file,
@@ -26,6 +36,7 @@ from specroute.traceio import (
     replay,
     serialize_record,
     serialize_records,
+    write_replay_report,
 )
 
 
@@ -220,6 +231,13 @@ class TestParse:
         assert len(good) > 3 * 8192
         with pytest.raises(TraceFormatError, match=r"line 301: invalid UTF-8 \(byte 0xc3\)"):
             parse_trace_file(path)
+
+    @pytest.mark.parametrize("char, what", [("\udcc3", "byte 0xc3"), ("\ud800", "U+D800")])
+    def test_text_holding_a_lone_surrogate_is_refused(self, char, what):
+        good = serialize_records(make_records("p0", num_blocks=2))
+        with pytest.raises(TraceFormatError) as exc:
+            parse_trace_text(good + '{"prompt_id":"' + char + '","block_index":2}\n')
+        assert str(exc.value) == f"line 3: invalid UTF-8 ({what})"
 
     def test_earlier_json_error_wins_over_invalid_utf8(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -453,6 +471,134 @@ class TestCorruptedRecord:
         assert str(exc.value) == message
 
 
+_TIME_FIELDS = ("draft_time_s", "target_time_s", "decode_time_s", "score_time_s")
+
+
+def reference_check(prompt_id, block_index, scores, times, producer):
+    """The record checker without its leading test: every rule in order.
+
+    Returns the values a record stores, or raises the ValueError that the
+    first failing rule gives.
+    """
+    if not isinstance(prompt_id, str) or not prompt_id:
+        raise ValueError("prompt_id must be a non-empty string")
+    if type(block_index) is not int:
+        raise ValueError("block_index must be an integer")
+    if type(scores) not in (list, tuple) or not scores:
+        raise ValueError("frame_scores must be a non-empty array")
+    score_types = set(map(type, scores))
+    if not score_types <= {int, float}:
+        raise ValueError("frame_scores must contain only numbers")
+    if producer is not None and type(producer) is not Producer:
+        try:
+            producer = {p.value: p for p in Producer}[producer]
+        except (KeyError, TypeError):
+            raise ValueError(
+                f"producer_observed must be 'draft' or 'target', got {reprlib.repr(producer)}"
+            ) from None
+    number_types = {int, float, type(None)}
+    if not set(map(type, times)) <= number_types:
+        key = next(k for k, v in zip(_TIME_FIELDS, times) if type(v) not in number_types)
+        raise ValueError(f"{key} must be a number")
+    try:
+        scores = tuple(scores) if score_types == {float} else tuple(map(float, scores))
+    except OverflowError:
+        raise ValueError("frame_scores must fit in a float") from None
+    if not all(map(math.isfinite, scores)):
+        raise ValueError("frame_scores must be finite")
+    if block_index < 0:
+        raise ValueError(f"block_index must be >= 0, got {block_index}")
+    checked = []
+    for name, val in zip(_TIME_FIELDS, times):
+        if val is not None:
+            if type(val) is not float:
+                try:
+                    val = float(val)
+                except OverflowError:
+                    raise ValueError(f"{name} must fit in a float") from None
+            if not 0.0 <= val < math.inf:
+                raise ValueError(f"{name} must be a non-negative finite number")
+        checked.append(val)
+    return (prompt_id, block_index, scores, *checked, producer)
+
+
+def _outcome(make):
+    """What make() stores, with every value's type and repr (so -0.0 and 0.0 differ), or its message."""
+    try:
+        values = make()
+    except ValueError as exc:
+        return str(exc)
+    return [(type(v), repr(v), [type(x) for x in v] if type(v) is tuple else None)
+            for v in values]
+
+
+def _stored(record):
+    return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+
+
+class _Id(str):
+    pass
+
+
+_edge_floats = st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan])
+_any_float = st.floats() | _edge_floats
+_any_number = _any_float | st.integers(-3, 3) | st.sampled_from([10**400, -(10**400), True, False])
+# Per field: values the leading test accepts, and odd ones: valid values it
+# leaves to the ordered rules, borderline values and invalid ones.
+_fast_time = st.none() | st.floats(0, 100) | st.sampled_from([-0.0, 5e-324, 1e308])
+_CHECKED_FIELDS = {
+    "prompt_id": (prompt_ids, any_prompt_id | prompt_ids.map(_Id) | st.sampled_from([_Id("")])),
+    "block_index": (st.integers(0, 20), any_block_index | st.sampled_from([-0.0, 0.0, -1])),
+    "frame_scores": (
+        st.lists(st.floats(-20, 20) | st.sampled_from([-0.0, 5e-324, -5e-324]), min_size=1,
+                 max_size=6).flatmap(lambda v: st.sampled_from([v, tuple(v)])),
+        st.lists(_any_number, max_size=6).flatmap(lambda v: st.sampled_from([v, tuple(v)]))
+        | st.sampled_from([[1e308, 1e308], (-1e308, -1e308, 1.0), [0.5, "0.5"], [[0.5]], [None],
+                           None, "0.5", 0.5, {}]),
+    ),
+    **{key: (_fast_time, _any_number | st.sampled_from(["1.0", [1.0], {}]))
+       for key in _TIME_FIELDS},
+    "producer_observed": (
+        st.none() | st.sampled_from([*Producer, "draft", "target"]),
+        any_producer | st.sampled_from([["draft"], {"draft": 1}, _Id("draft")]),
+    ),
+}
+
+
+@st.composite
+def checked_fields(draw):
+    """Every field one the leading test accepts, except at most two drawn from odd values."""
+    odd = draw(st.sets(st.sampled_from(sorted(_CHECKED_FIELDS)), max_size=2))
+    return {key: draw(pair[key in odd]) for key, pair in _CHECKED_FIELDS.items()}
+
+
+class TestCheckerLeadingTest:
+    """The checker's leading test changes no outcome: each record gets what every rule gives."""
+
+    @settings(max_examples=800, deadline=None)
+    @given(fields=checked_fields())
+    def test_constructor_and_parser_match_the_ordered_rules(self, fields):
+        def checked(values):
+            return reference_check(
+                values["prompt_id"], values["block_index"], values["frame_scores"],
+                tuple(values[k] for k in _TIME_FIELDS), values["producer_observed"],
+            )
+
+        expected = _outcome(lambda: checked(fields))
+        got = _outcome(lambda: _stored(ExternalTraceRecord(**fields)))
+        assert got == expected
+
+        try:
+            line = json.dumps(fields)
+        except TypeError:
+            return  # bytes have no JSON form; the constructor's outcome is checked above
+        expected = _outcome(lambda: checked(json.loads(line)))
+        if isinstance(expected, str):
+            expected = "line 1: " + expected
+        got = _outcome(lambda: _stored(parse_trace_text(line + "\n")[0]))
+        assert got == expected
+
+
 class TestReplay:
     def test_negative_infinity_accepts_everything_except_forced_block0(self):
         runs = replay(make_records(), tau=float("-inf"))
@@ -666,6 +812,81 @@ class TestReplayAccounting:
                     assert source == "mixed"
                 else:
                     assert source == "modeled"
+
+
+_report_strings = st.text(max_size=6) | st.text(
+    st.characters(blacklist_categories=()), max_size=6
+) | st.sampled_from(['"', "\\", "\x00\x1f", "\u2028", "\ud800", "\udcff", "\u00e9\u4e2d"])
+_report_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 1e16, 1e-5]
+)
+_report_times = st.floats(min_value=0, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e308]
+) | st.integers(0, 10**20)
+
+
+@st.composite
+def report_runs(draw):
+    traces = []
+    for b in range(draw(st.integers(0, 3))):
+        scores = draw(st.none() | st.lists(_report_floats, min_size=1, max_size=4).map(
+            lambda xs, b=b: FrameScoreVector(b, tuple(xs))
+        ))
+        traces.append(BlockTrace(
+            block_index=draw(st.integers(0, 10**20)),
+            decision=draw(st.sampled_from(DecisionReason)),
+            aggregate_score=draw(st.none() | _report_floats | st.just(math.nan)
+                                 | st.integers(-5, 5)),
+            frame_scores=scores,
+            draft_time_s=draw(_report_times),
+            score_time_s=draw(_report_times),
+            target_time_s=draw(_report_times),
+            decode_time_s=draw(_report_times),
+        ))
+    summary = RunSummary(
+        prompt_id=draw(_report_strings),
+        accept_rate_excl_block0=draw(_report_floats | st.sampled_from([0, 1])),
+        total_time_s=draw(_report_times | st.just(math.inf)),
+        quality_proxy=draw(_report_floats | st.just(math.nan) | st.just(-math.inf)),
+        block_traces=tuple(traces),
+    )
+    provenance = draw(st.lists(st.sampled_from(["recorded", "modeled", "mixed"]), max_size=4))
+    return ReplayedRun(summary, tuple(provenance))
+
+
+class TestReplayReport:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        runs=st.lists(report_runs(), max_size=3),
+        tau=_report_floats,
+        aggregation=st.sampled_from([*AggregationMode, "min_frame", "mean_frame"]),
+    )
+    def test_writer_gives_the_bytes_of_json_dumps(self, runs, tau, aggregation):
+        doc = {
+            "schema_version": 1,
+            "tau": tau,
+            "aggregation": aggregation,
+            "runs": [
+                {**summary_to_dict(r.summary), "timing_provenance": list(r.timing_provenance)}
+                for r in runs
+            ],
+        }
+        parts = []
+        write_replay_report(parts.append, iter(runs), tau, aggregation)
+        assert "".join(parts) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        # One write for the head, one per run and one for the tail.
+        assert len(parts) == len(runs) + 2
+
+    def test_writer_writes_a_replayed_trace_as_json_dumps(self):
+        runs = replay(make_records("p0") + make_records("p\"1\u00e9", with_times=False),
+                      tau=0.0, latency=LatencyParams(c_draft=1.0, c_target=5.0, c_decode=0.5))
+        parts = []
+        write_replay_report(parts.append, runs, 0.0, "min_frame")
+        doc = {"schema_version": 1, "tau": 0.0, "aggregation": "min_frame", "runs": [
+            {**summary_to_dict(r.summary), "timing_provenance": list(r.timing_provenance)}
+            for r in runs
+        ]}
+        assert "".join(parts) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 class TestEngineSelfConsistency:
