@@ -79,6 +79,7 @@ class Policy:
         return self.force_reject_block0 and block_index == 0
 
     def decide(self, block_index: int, q: float | None) -> DecisionReason:
+        # forces_rejection, inlined: decide runs once per block.
         if self.force_reject_block0 and block_index == 0:
             return _FORCED
         return self._decide_unforced(block_index, q)

@@ -530,7 +530,9 @@ def replay(
     new_scores = FrameScoreVector.from_checked
     new_trace = BlockTrace.from_checked
     # Every replayed block carries scores, so the model counts it as scored.
-    if latency is not None:
+    if latency is None:
+        modeled_accept = modeled_reject = None
+    else:
         modeled_accept = latency.block_times(True, scored=True)
         modeled_reject = latency.block_times(False, scored=True)
     runs = []
@@ -552,8 +554,7 @@ def replay(
             if draft is None or decode is None or score is None or target is None:
                 draft, decode, score, target, source = _fill_times(
                     prompt_id, b, decision.accepted, draft, decode, score, target,
-                    (modeled_accept if decision.accepted else modeled_reject)
-                    if latency is not None else None,
+                    modeled_accept if decision.accepted else modeled_reject,
                 )
                 add_source(source)
             else:
