@@ -133,9 +133,24 @@ def _write_text(flag: str, path: str, text: str) -> None:
         write(text)
 
 
-def _load_calibration(args) -> Calibration:
+def _distinct_outputs(flag: str, path: str, other_flag: str, other_path: str | None) -> None:
+    """Refuse a second output that names the first one's destination.
+
+    "-" (stdout) matches only "-", and a file path matches its real path.
+    """
+    def destination(p: str) -> str:
+        return p if p == "-" else os.path.realpath(p)
+
+    if other_path and destination(path) == destination(other_path):
+        raise CliFailure(EXIT_USAGE, f"{flag} and {other_flag} name the same output {other_path}")
+
+
+def _load_calibration(args, required: bool = True) -> Calibration | None:
+    """The calibration that --calibration or $SPECROUTE_CALIBRATION names, if one does."""
     path = args.calibration or os.environ.get(CALIBRATION_ENV)
     if not path:
+        if not required:
+            return None
         raise CliFailure(
             EXIT_VALIDATION,
             f"no calibration file: pass --calibration or set {CALIBRATION_ENV} "
@@ -192,6 +207,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _distinct_outputs("--out", args.out, "--export-trace", args.export_trace)
     calibration = _load_calibration(args)
     # Exported records need per-frame scores on every block, including
     # force-rejected ones.
@@ -272,6 +288,7 @@ def _run_arm_list(args, arms: list[Arm], intro: str) -> list[SweepRow]:
 
 
 def cmd_sweep(args) -> int:
+    _distinct_outputs("--out", args.out, "--out-json", args.out_json)
     # argparse has already checked what SweepSpec requires: thresholds and n >= 1.
     taus = tuple(args.tau_list) if args.tau_list else DEFAULT_SWEEP_TAUS
     spec = SweepSpec(thresholds=taus, num_prompts=args.n, seed=args.seed, num_blocks=args.blocks)
@@ -292,9 +309,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    calibration = None
-    if args.calibration or os.environ.get(CALIBRATION_ENV):
-        calibration = _load_calibration(args)
+    calibration = _load_calibration(args, required=False)
     try:
         records = parse_trace_file(args.trace)
     except OSError as exc:

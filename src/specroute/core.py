@@ -6,14 +6,20 @@ the per-block payloads, the routing decision (a DecisionReason, which also
 says whether the block was accepted), and the per-run summary.
 All types are immutable value objects after construction and safe to share
 across threads.
+
+Frame scores are checked once, where they enter: by checked_scores for a
+scorer's or a quality model's scores, and by the trace record checker in
+traceio for recorded ones. FrameScoreVector, BlockTrace and RunSummary
+are plain named tuples whose constructors check nothing.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -26,6 +32,7 @@ __all__ = [
     "LatentBlock",
     "DecodedFrames",
     "FrameScoreVector",
+    "checked_scores",
     "BlockTrace",
     "RunSummary",
     "default_config",
@@ -203,52 +210,48 @@ def all_finite(values: tuple[float, ...]) -> bool:
 _FLOAT_ONLY = frozenset({float})
 
 
-@dataclass(frozen=True, slots=True)
-class FrameScoreVector:
+class FrameScoreVector(NamedTuple):
     """Per-frame reward scores for one decoded block.
 
-    The one owner of the score invariant: scores are a non-empty tuple of
-    finite plain floats, so aggregation never rescans them. A tuple that
-    already holds only floats is kept as given; anything else (ints, numpy
-    scalars, lists) is converted once.
+    The scores are a non-empty tuple of finite plain floats, so aggregation
+    never rescans them. The constructor checks nothing: scores from a model
+    enter through checked_scores, and replay builds vectors from checked
+    trace records.
     """
 
     block_index: int
     scores: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        scores = self.scores
-        if type(scores) is not tuple or not set(map(type, scores)) <= _FLOAT_ONLY:
-            scores = tuple(map(float, scores))
-            object.__setattr__(self, "scores", scores)
-        if not scores:
-            raise ValueError("cannot aggregate an empty score vector")
-        if not all_finite(scores):
-            raise ValueError(f"non-finite frame score in block {self.block_index}")
-
-    @classmethod
-    def from_checked(cls, block_index: int, scores: tuple[float, ...]) -> FrameScoreVector:
-        """A vector over scores already known to hold the invariant; runs no checks."""
-        vector = _new(cls)
-        _set_vector_block_index(vector, block_index)
-        _set_scores(vector, scores)
-        return vector
-
-    def minimum(self) -> float:
-        return min(self.scores)
-
     def mean(self) -> float:
         return sum(self.scores) / len(self.scores)
 
 
-@dataclass(frozen=True, slots=True)
-class BlockTrace:
+def checked_scores(block_index: int, values: Iterable[float]) -> FrameScoreVector:
+    """The score vector of one block's scores, checked once where they enter.
+
+    A tuple that already holds only floats is kept as given; anything else
+    (ints, numpy scalars, lists) is converted to a tuple of floats once.
+    Raises ValueError for an empty or non-finite vector.
+    """
+    scores = values
+    if type(scores) is not tuple or not set(map(type, scores)) <= _FLOAT_ONLY:
+        scores = tuple(map(float, scores))
+    if not scores:
+        raise ValueError("cannot aggregate an empty score vector")
+    if not all_finite(scores):
+        raise ValueError(f"non-finite frame score in block {block_index}")
+    return FrameScoreVector(block_index, scores)
+
+
+class BlockTrace(NamedTuple):
     """Audit record for one block of one run.
 
     aggregate_score and frame_scores are None when scoring was skipped
     (forced rejections under the default config, and pure target-only
     runs where no draft exists to score). All times are simulated seconds
-    from the cost model, never wall-clock of the simulator.
+    from the cost model, never wall-clock of the simulator. The
+    constructor checks nothing: the times come from LatencyParams, which
+    checks its costs, or from checked trace records.
     """
 
     block_index: int
@@ -260,52 +263,8 @@ class BlockTrace:
     target_time_s: float = 0.0
     decode_time_s: float = 0.0
 
-    def __post_init__(self) -> None:
-        for name in ("draft_time_s", "score_time_s", "target_time_s", "decode_time_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
 
-    @classmethod
-    def from_checked(
-        cls,
-        block_index: int,
-        decision: DecisionReason,
-        aggregate_score: float | None,
-        frame_scores: FrameScoreVector | None,
-        draft_time_s: float,
-        score_time_s: float,
-        target_time_s: float,
-        decode_time_s: float,
-    ) -> BlockTrace:
-        """A trace over times already known to be non-negative; runs no checks."""
-        trace = _new(cls)
-        _set_trace_block_index(trace, block_index)
-        _set_decision(trace, decision)
-        _set_aggregate_score(trace, aggregate_score)
-        _set_frame_scores(trace, frame_scores)
-        _set_draft_time(trace, draft_time_s)
-        _set_score_time(trace, score_time_s)
-        _set_target_time(trace, target_time_s)
-        _set_decode_time(trace, decode_time_s)
-        return trace
-
-
-# Slot setters for the from_checked constructors, which skip __post_init__.
-_new = object.__new__
-_set_vector_block_index = FrameScoreVector.block_index.__set__
-_set_scores = FrameScoreVector.scores.__set__
-_set_trace_block_index = BlockTrace.block_index.__set__
-_set_decision = BlockTrace.decision.__set__
-_set_aggregate_score = BlockTrace.aggregate_score.__set__
-_set_frame_scores = BlockTrace.frame_scores.__set__
-_set_draft_time = BlockTrace.draft_time_s.__set__
-_set_score_time = BlockTrace.score_time_s.__set__
-_set_target_time = BlockTrace.target_time_s.__set__
-_set_decode_time = BlockTrace.decode_time_s.__set__
-
-
-@dataclass(frozen=True, slots=True)
-class RunSummary:
+class RunSummary(NamedTuple):
     """Outcome of one full video run.
 
     accept_rate_excl_block0 counts accepted blocks among indices 1..B-1
@@ -316,10 +275,7 @@ class RunSummary:
     accept_rate_excl_block0: float
     total_time_s: float
     quality_proxy: float
-    block_traces: tuple[BlockTrace, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "block_traces", tuple(self.block_traces))
+    block_traces: tuple[BlockTrace, ...] = ()
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from .core import (
     LatentBlock,
     PromptSpec,
     RunSummary,
+    checked_scores,
     noise_seed_for_block,
     pixel_frame_count,
 )
@@ -305,7 +306,7 @@ def _run_lane_block(
                         _guard(b, "scorer", scorer.score, frame, prompt)
                         for frame in draft_frames.frames
                     ]
-                    scores = FrameScoreVector(b, tuple(raw))
+                    scores = checked_scores(b, raw)
                 q = q_by_mode.get(arm.aggregation)
                 if q is None:
                     q = q_by_mode[arm.aggregation] = aggregate(scores, arm.aggregation)

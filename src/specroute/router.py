@@ -42,7 +42,7 @@ class AggregationMode(str, Enum):
 def aggregate(scores: FrameScoreVector, mode: AggregationMode) -> float:
     """Collapse per-frame scores into the block score q.
 
-    The vector guarantees its scores non-empty and finite, so only the
+    Scores are checked non-empty and finite where they enter, so only the
     mean, which finite scores can push past float range, is checked here.
     """
     if mode is AggregationMode.MIN_FRAME:

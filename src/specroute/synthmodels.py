@@ -50,6 +50,7 @@ from .core import (
     LatentBlock,
     Producer,
     PromptSpec,
+    checked_scores,
     keyed_generator,
     pixel_frame_count,
 )
@@ -190,7 +191,7 @@ class DraftQualityModel:
         rng = keyed_generator("draft-scores", self.rng_seed, prompt_id, block_index)
         minimum = float(self.min_score_from_uniform(rng.random()))
         if num_frames == 1:
-            return FrameScoreVector(block_index, (minimum,))
+            return checked_scores(block_index, (minimum,))
         pin = int(rng.integers(num_frames))
         scale = self.frame_gap_mean * num_frames / (num_frames - 1)
         offsets = rng.exponential(scale=scale, size=num_frames - 1) if scale > 0 else np.zeros(num_frames - 1)
@@ -198,7 +199,7 @@ class DraftQualityModel:
         scores[:pin] = minimum + offsets[:pin]
         scores[pin] = minimum
         scores[pin + 1 :] = minimum + offsets[pin:]
-        return FrameScoreVector(block_index, tuple(float(s) for s in scores))
+        return checked_scores(block_index, scores.tolist())
 
     def to_dict(self) -> dict:
         return {

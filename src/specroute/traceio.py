@@ -25,15 +25,15 @@ record rules, types and values alike, and both the parser and the
 ExternalTraceRecord constructor call it, so a record a pipeline builds
 serializes to a line the parser accepts and a refused one gets the
 parser's message. Types are compared exactly: true is not a number, and a
-string or numpy scalar is not one either. The checker's leading test
-accepts the common record (a str id, an int index >= 0, floats with a
-finite sum, float or absent times in range, a known producer) and stores
-it at once; any other record goes through the ordered rules, so outcomes
-and messages are those of the rules. The parser checks only the UTF-8 and
-the keys itself, then builds each record from the checker's values
-without running it again; FrameScoreVector checks that engine scores are
-non-empty and finite, and `replay` builds each block's score vector and
-trace from the record's checked values.
+string or numpy scalar is not one either. The checker returns the
+record's values in field order. Its leading test passes the common record
+(a str id, an int index >= 0, floats with a finite sum, float or absent
+times in range, a known producer) through at once; any other record goes
+through the ordered rules, so outcomes and messages are those of the
+rules. The parser checks only the UTF-8 and the keys itself, then builds
+each record, a named tuple, from the checker's values without running it
+again. `replay` builds each block's score vector and trace from the
+record's checked values with their plain constructors.
 
 `parse_trace` reads its input line by line but returns every record in
 one list, and `replay` groups that list by prompt before routing, so
@@ -64,12 +64,11 @@ import reprlib
 import sys
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from math import inf, isfinite
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     BlockTrace,
@@ -111,7 +110,6 @@ _PRODUCERS = {p.value: p for p in Producer}
 # accepts (a member equals its value, so it finds itself).
 _PRODUCER_OF = {None: None, **_PRODUCERS}
 _PRODUCER_TYPES = frozenset({type(None), Producer, str})
-_new_record = object.__new__
 # A decoder with json.loads's defaults; parse_trace calls its scanner directly.
 _scan_once = json.JSONDecoder().scan_once
 
@@ -129,19 +127,7 @@ class TraceFormatError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True, slots=True)
-class ExternalTraceRecord:
-    """Per-block observation exported by a real (or simulated) pipeline.
-
-    Construction runs the parser's own checker, so it accepts exactly the
-    values a trace line may hold and refuses the rest with the parser's
-    messages: a non-empty string prompt id, an int block index >= 0 (not a
-    bool), a non-empty list or tuple of int or float scores, each finite,
-    int, float or None times, each non-negative and finite, and a producer
-    that Producer(...) accepts. Strings, bools and numpy scalars are
-    refused. Scores and times are stored as floats.
-    """
-
+class _RecordFields(NamedTuple):
     prompt_id: str
     block_index: int
     frame_scores: tuple[float, ...]
@@ -151,18 +137,33 @@ class ExternalTraceRecord:
     score_time_s: float | None = None
     producer_observed: Producer | None = None
 
-    def __post_init__(self) -> None:
-        _check_record(
-            self, self.prompt_id, self.block_index, self.frame_scores, self.draft_time_s,
-            self.target_time_s, self.decode_time_s, self.score_time_s, self.producer_observed,
-        )
 
+class ExternalTraceRecord(_RecordFields):
+    """Per-block observation exported by a real (or simulated) pipeline.
 
-# Slot setters, so a record can be filled with checked values without __post_init__.
-_set_prompt_id, _set_block_index, _set_frame_scores, *_TIME_SETTERS, _set_producer = (
-    vars(ExternalTraceRecord)[f.name].__set__ for f in fields(ExternalTraceRecord)
-)
-_set_draft_time, _set_target_time, _set_decode_time, _set_score_time = _TIME_SETTERS
+    Construction runs the parser's own checker, so it accepts exactly the
+    values a trace line may hold and refuses the rest with the parser's
+    messages: a non-empty string prompt id, an int block index >= 0 (not a
+    bool), a non-empty list or tuple of int or float scores, each finite,
+    int, float or None times, each non-negative and finite, and a producer
+    that Producer(...) accepts. Strings, bools and numpy scalars are
+    refused. Scores and times are stored as floats. _make (and so
+    _replace), copying and unpickling build through the same check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ExternalTraceRecord:
+        # The base binds the arguments to the fields, defaults included.
+        return tuple.__new__(cls, _check_record(*_RecordFields(*args, **kwargs)))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> ExternalTraceRecord:
+        return cls(*iterable)
+
+    def __reduce__(self) -> tuple:
+        # Every pickle protocol and copy then rebuild through __new__.
+        return type(self), tuple(self)
 
 
 def _producer(value: object) -> Producer:
@@ -175,7 +176,6 @@ def _producer(value: object) -> Producer:
 
 
 def _check_record(
-    record: ExternalTraceRecord,
     prompt_id: object,
     block_index: object,
     scores: object,
@@ -184,8 +184,8 @@ def _check_record(
     decode: object,
     score: object,
     producer: object,
-) -> None:
-    """Check one record's values and store them in its slots, numbers as floats.
+) -> tuple:
+    """Check one record's values; return them in field order, numbers as floats.
 
     The one checker of the record rules, for the parser and the
     constructor alike. Types are compared exactly, as JSON yields them:
@@ -209,15 +209,10 @@ def _check_record(
         and (score is None or type(score) is float and 0.0 <= score < inf)
         and type(producer) in _PRODUCER_TYPES and producer in _PRODUCER_OF
     ):
-        _set_prompt_id(record, prompt_id)
-        _set_block_index(record, block_index)
-        _set_frame_scores(record, tuple(scores))
-        _set_draft_time(record, draft)
-        _set_target_time(record, target)
-        _set_decode_time(record, decode)
-        _set_score_time(record, score)
-        _set_producer(record, _PRODUCER_OF[producer])
-        return
+        return (
+            prompt_id, block_index, tuple(scores), draft, target, decode, score,
+            _PRODUCER_OF[producer],
+        )
     if not isinstance(prompt_id, str) or not prompt_id:
         raise ValueError("prompt_id must be a non-empty string")
     if type(block_index) is not int:
@@ -241,10 +236,8 @@ def _check_record(
         raise ValueError("frame_scores must be finite")
     if block_index < 0:
         raise ValueError(f"block_index must be >= 0, got {block_index}")
-    _set_prompt_id(record, prompt_id)
-    _set_block_index(record, block_index)
-    _set_frame_scores(record, scores)
-    for name, set_time, val in zip(_TIME_KEYS, _TIME_SETTERS, times):
+    checked_times = []
+    for name, val in zip(_TIME_KEYS, times):
         if val is not None:
             if type(val) is not float:
                 try:
@@ -254,8 +247,8 @@ def _check_record(
             # Also false for NaN.
             if not 0.0 <= val < inf:
                 raise ValueError(f"{name} must be a non-negative finite number")
-        set_time(record, val)
-    _set_producer(record, producer)
+        checked_times.append(val)
+    return (prompt_id, block_index, scores, *checked_times, producer)
 
 
 @contextmanager
@@ -286,7 +279,8 @@ def parse_trace(lines: Iterable[str]) -> list[ExternalTraceRecord]:
     """
     records = []
     append = records.append
-    new_record = _new_record
+    new_record = tuple.__new__
+    record_type = ExternalTraceRecord
     check = _check_record
     scan_once = _scan_once
     known_keys = _KNOWN_KEYS
@@ -321,17 +315,16 @@ def parse_trace(lines: Iterable[str]) -> list[ExternalTraceRecord]:
         line_prompt_id = obj["prompt_id"]
         if line_prompt_id != prompt_id:
             prompt_id = line_prompt_id
-        record = new_record(ExternalTraceRecord)
         get = obj.get
         try:
-            check(
-                record, prompt_id, obj["block_index"], obj["frame_scores"], get("draft_time_s"),
+            values = check(
+                prompt_id, obj["block_index"], obj["frame_scores"], get("draft_time_s"),
                 get("target_time_s"), get("decode_time_s"), get("score_time_s"),
                 get("producer_observed"),
             )
         except ValueError as exc:
             raise TraceFormatError(str(exc), line_number) from None
-        append(record)
+        append(new_record(record_type, values))
     return records
 
 
@@ -431,8 +424,7 @@ def records_from_traces(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ReplayedRun:
+class ReplayedRun(NamedTuple):
     """Replay outcome for one prompt, with per-block timing provenance."""
 
     summary: RunSummary
@@ -526,9 +518,7 @@ def replay(
     decide = ThresholdPolicy(tau=tau, force_reject_block0=force_reject_block0).decide
     aggregate_scores = aggregate
     # Records hold non-empty finite float scores and non-negative finite
-    # times, and so do latency params, so vectors and traces skip their checks.
-    new_scores = FrameScoreVector.from_checked
-    new_trace = BlockTrace.from_checked
+    # times, and so do latency params, so vectors and traces need no check.
     # Every replayed block carries scores, so the model counts it as scored.
     if latency is None:
         modeled_accept = modeled_reject = None
@@ -545,7 +535,7 @@ def replay(
         add_trace = traces.append
         add_source = provenance.append
         for b, record in enumerate(group):
-            scores = new_scores(b, record.frame_scores)
+            scores = FrameScoreVector(b, record.frame_scores)
             q = aggregate_scores(scores, aggregation)
             decision = decide(b, q)
             draft, decode, score = record.draft_time_s, record.decode_time_s, record.score_time_s
@@ -559,7 +549,7 @@ def replay(
                 add_source(source)
             else:
                 add_source(RECORDED)
-            add_trace(new_trace(b, decision, q, scores, draft, score, target, decode))
+            add_trace(BlockTrace(b, decision, q, scores, draft, score, target, decode))
 
         summary = summarize_run(prompt_id, traces, latency, quality_fn)
         runs.append(ReplayedRun(summary, tuple(provenance)))

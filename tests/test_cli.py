@@ -511,6 +511,40 @@ class TestUnusablePaths:
         assert f"cannot write {flag} {path}" in err
 
 
+class TestSameOutput:
+    """Two outputs of one command that name one destination: exit 2 before anything runs."""
+
+    @pytest.mark.parametrize(
+        "command,flag,other_flag",
+        [("simulate", "--out", "--export-trace"), ("sweep", "--out", "--out-json")],
+    )
+    @pytest.mark.parametrize("target", ["same-file", "other-spelling", "symlink", "stdout"])
+    def test_same_destination_is_usage_error(
+        self, tmp_path, capsys, command, flag, other_flag, target
+    ):
+        path = tmp_path / "out"
+        first = second = str(path)
+        if target == "other-spelling":
+            (tmp_path / "sub").mkdir()
+            second = str(tmp_path / "sub" / ".." / "out")
+        elif target == "symlink":
+            path.write_text("kept\n")
+            (tmp_path / "link").symlink_to(path)
+            second = str(tmp_path / "link")
+        # A calibration that does not exist: the check comes before it is read.
+        argv = [command, "--calibration", str(tmp_path / "none.json"), "--n", "1"]
+        if target == "stdout":
+            argv += [other_flag, "-"]  # beside the default --out, which is stdout
+        else:
+            argv += [flag, first, other_flag, second]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        expected = "-" if target == "stdout" else second
+        assert f"error: {flag} and {other_flag} name the same output {expected}\n" in captured.err
+        assert captured.out == ""
+        assert path.read_text() == "kept\n" if target == "symlink" else not path.exists()
+
+
 class TestSweep:
     def test_smoke_run_is_fast(self, cal_path, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -16,6 +16,7 @@ from specroute.core import (
     Producer,
     RunSummary,
     block_digest,
+    checked_scores,
     default_config,
     keyed_generator,
     noise_seed_for_block,
@@ -106,16 +107,15 @@ class TestPayloads:
 
     def test_frame_score_vector_stats(self):
         v = FrameScoreVector(2, (0.5, -0.3, 0.1))
-        assert v.minimum() == -0.3
         assert v.mean() == pytest.approx(0.1)
 
     def test_frame_score_vector_holds_plain_floats(self):
-        v = FrameScoreVector(0, (1, np.float64(0.5), -2.0))
-        assert v.scores == (1.0, 0.5, -2.0)
+        v = checked_scores(0, (1, np.float64(0.5), -2.0))
+        assert v == FrameScoreVector(0, (1.0, 0.5, -2.0))
         assert [type(s) for s in v.scores] == [float, float, float]
-        assert type(FrameScoreVector(0, [0.25]).scores) is tuple
+        assert type(checked_scores(0, [0.25]).scores) is tuple
         floats = (0.5, -0.3)
-        assert FrameScoreVector(0, floats).scores is floats
+        assert checked_scores(0, floats).scores is floats
 
 
 class TestRoutingDecision:

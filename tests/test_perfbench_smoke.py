@@ -5,7 +5,8 @@ reference output must hash to its digest in perfbench/golden.json, and
 every operation's output must pass the workload's own check. Both run
 here, the replay workload on a 4-prompt trace, so a change that breaks a
 library call the benchmark makes, or changes an output it pins, fails the
-suite rather than the benchmark run.
+suite rather than the benchmark run. The library's replay report writer
+must also give the bytes of the benchmark's own copy of that report.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import specroute
+from specroute.traceio import parse_trace_file, replay, write_replay_report
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 5
@@ -53,3 +55,20 @@ def test_reference_matches_golden_and_an_operation_passes_its_check(name, calibr
     workload = worker.WORKLOADS[name](calibration, SEED, tmp_path)
     assert workload.reference() == GOLDEN[name]
     assert workload.check(workload.op(0)) == 0
+
+
+def test_library_report_writer_gives_the_benchmarks_replay_document(calibration, tmp_path):
+    """write_replay_report writes replay_doc's bytes for the reference trace: the golden digest."""
+    path = tmp_path / "reference.jsonl"
+    worker.write_replay_trace(
+        specroute, calibration, worker.REFERENCE_SEED, worker.REFERENCE_REPLAY_PROMPTS, path
+    )
+    runs = replay(
+        parse_trace_file(path), tau=worker.REPLAY_TAU,
+        latency=calibration.latency, quality_fn=calibration.proxy.run_quality,
+    )
+    parts = []
+    write_replay_report(parts.append, runs, worker.REPLAY_TAU, "min_frame")
+    text = "".join(parts)
+    assert text == worker.replay_doc(runs, worker.REPLAY_TAU)
+    assert worker.sha256(text) == GOLDEN["replay"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specroute.core import DecisionReason, FrameScoreVector, stable_key
+from specroute.core import DecisionReason, FrameScoreVector, checked_scores, stable_key
 from specroute.router import (
     AggregationMode,
     AlwaysAcceptPolicy,
@@ -31,14 +31,13 @@ class TestAggregate:
         assert aggregate(v, AggregationMode.MEAN_FRAME) == 0.7
 
     def test_empty_vector_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate(FrameScoreVector(0, ()), AggregationMode.MIN_FRAME)
+        with pytest.raises(ValueError, match="^cannot aggregate an empty score vector$"):
+            checked_scores(0, ())
 
     def test_non_finite_rejected(self):
         for bad in (float("inf"), float("-inf"), float("nan")):
-            for mode in AggregationMode:
-                with pytest.raises(ValueError):
-                    aggregate(FrameScoreVector(0, (0.1, bad)), mode)
+            with pytest.raises(ValueError, match="^non-finite frame score in block 3$"):
+                checked_scores(3, (0.1, bad))
 
     @pytest.mark.parametrize("scores", [(1e308, 1e308), (-1e308, -1e308, 1e308, 1e308)])
     def test_overflowing_mean_rejected(self, scores):

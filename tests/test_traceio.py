@@ -1,9 +1,10 @@
 from __future__ import annotations
 
-import dataclasses
+import copy
 import gc
 import json
 import math
+import pickle
 import re
 import reprlib
 import time
@@ -105,6 +106,55 @@ class TestRecordValidation:
             ExternalTraceRecord(
                 prompt_id="p", block_index=0, frame_scores=(0.1,), producer_observed=producer
             )
+
+
+class TestRecordRebuilds:
+    """Every way to build a record from another runs the checker."""
+
+    RECORD = ExternalTraceRecord(
+        "p", 3, (0.5, -1.0), draft_time_s=2.0, target_time_s=None, producer_observed="target"
+    )
+
+    def test_make_checks_and_converts(self):
+        record = ExternalTraceRecord._make(["p", 3, [1, 0.5], 2])
+        assert record == ExternalTraceRecord("p", 3, (1.0, 0.5), 2.0)
+        assert [type(s) for s in record.frame_scores] == [float, float]
+        assert type(record.draft_time_s) is float
+        with pytest.raises(ValueError, match="^frame_scores must be finite$"):
+            ExternalTraceRecord._make(["p", 3, [math.nan]])
+
+    def test_replace_runs_the_parsers_check(self):
+        assert self.RECORD._replace(block_index=4).block_index == 4
+        assert type(self.RECORD._replace(score_time_s=1).score_time_s) is float
+        with pytest.raises(ValueError, match="^block_index must be >= 0, got -1$"):
+            self.RECORD._replace(block_index=-1)
+        with pytest.raises(ValueError, match="^producer_observed must be 'draft' or 'target'"):
+            self.RECORD._replace(producer_observed="vae")
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        again = pickle.loads(pickle.dumps(self.RECORD, protocol=protocol))
+        assert type(again) is ExternalTraceRecord
+        assert again == self.RECORD
+        assert again.producer_observed is Producer.TARGET
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_unpickling_a_bad_record_is_refused(self, protocol):
+        # A stored block index of -7 written by a tuple with the record's type.
+        bad = tuple.__new__(ExternalTraceRecord, ("p", -7, (0.5,), None, None, None, None, None))
+        data = pickle.dumps(bad, protocol=protocol)
+        with pytest.raises(ValueError, match="^block_index must be >= 0, got -7$"):
+            pickle.loads(data)
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy])
+    def test_copies_run_the_check(self, duplicate, monkeypatch):
+        import specroute.traceio as traceio
+
+        calls = []
+        check = traceio._check_record
+        monkeypatch.setattr(traceio, "_check_record", lambda *a: calls.append(a) or check(*a))
+        assert duplicate(self.RECORD) == self.RECORD
+        assert len(calls) == 1
 
 
 class TestParse:
@@ -437,7 +487,7 @@ CORRUPTIONS = [
 # The rows that name a record field and give it a value: the constructor's keywords.
 CONSTRUCTOR_CORRUPTIONS = [
     row for row in CORRUPTIONS
-    if row[1] is not None and row[0] in {f.name for f in dataclasses.fields(ExternalTraceRecord)}
+    if row[1] is not None and row[0] in ExternalTraceRecord._fields
 ]
 
 
@@ -464,7 +514,7 @@ class TestCorruptedRecord:
     @given(record=record_strategy, corruption=st.sampled_from(CONSTRUCTOR_CORRUPTIONS))
     def test_the_constructor_refuses_with_the_parsers_message(self, record, corruption):
         key, literal, message = corruption
-        fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+        fields = {name: getattr(record, name) for name in ExternalTraceRecord._fields}
         fields[key] = json.loads(literal)
         with pytest.raises(ValueError) as exc:
             ExternalTraceRecord(**fields)
@@ -533,7 +583,7 @@ def _outcome(make):
 
 
 def _stored(record):
-    return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+    return tuple(getattr(record, name) for name in ExternalTraceRecord._fields)
 
 
 class _Id(str):
