@@ -108,9 +108,6 @@ class KVCache:
     def digests(self) -> tuple[str, ...]:
         return tuple(e.digest for e in self._entries)
 
-    def producers(self) -> tuple[Producer, ...]:
-        return tuple(e.producer for e in self._entries)
-
     def tip_digest(self) -> str:
         return self._entries[-1].digest if self._entries else "empty"
 

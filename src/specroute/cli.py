@@ -133,16 +133,29 @@ def _write_text(flag: str, path: str, text: str) -> None:
         write(text)
 
 
-def _distinct_outputs(flag: str, path: str, other_flag: str, other_path: str | None) -> None:
-    """Refuse a second output that names the first one's destination.
+def _refuse_overwrites(args) -> None:
+    """Refuse an output that names an input or another output of the command.
 
-    "-" (stdout) matches only "-", and a file path matches its real path.
+    Runs before anything is read or opened. An output "-" is stdout and
+    matches only "-"; every other path, an input's too, matches by its
+    real path.
     """
-    def destination(p: str) -> str:
-        return p if p == "-" else os.path.realpath(p)
-
-    if other_path and destination(path) == destination(other_path):
-        raise CliFailure(EXIT_USAGE, f"{flag} and {other_flag} name the same output {other_path}")
+    inputs = [("--table", getattr(args, "table", None)), ("--trace", getattr(args, "trace", None))]
+    if hasattr(args, "calibration"):
+        inputs.append(("--calibration", args.calibration) if args.calibration
+                      else (f"${CALIBRATION_ENV}", os.environ.get(CALIBRATION_ENV)))
+    # A real path, or "-" for stdout, maps to (its flag, whether it is an output).
+    named = {os.path.realpath(path): (flag, False) for flag, path in inputs if path}
+    for flag in ("--out", "--export-trace", "--out-json"):
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if not path:
+            continue
+        key = path if path == "-" else os.path.realpath(path)
+        if key in named:
+            first, output = named[key]
+            raise CliFailure(EXIT_USAGE, f"{first} and {flag} name the same output {path}" if output
+                             else f"{flag} would overwrite the {first} input {path}")
+        named[key] = (flag, True)
 
 
 def _load_calibration(args, required: bool = True) -> Calibration | None:
@@ -207,7 +220,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _distinct_outputs("--out", args.out, "--export-trace", args.export_trace)
     calibration = _load_calibration(args)
     # Exported records need per-frame scores on every block, including
     # force-rejected ones.
@@ -288,8 +300,7 @@ def _run_arm_list(args, arms: list[Arm], intro: str) -> list[SweepRow]:
 
 
 def cmd_sweep(args) -> int:
-    _distinct_outputs("--out", args.out, "--out-json", args.out_json)
-    # argparse has already checked what SweepSpec requires: thresholds and n >= 1.
+    # argparse has already checked what SweepSpec and run_arms require: thresholds and n >= 1.
     taus = tuple(args.tau_list) if args.tau_list else DEFAULT_SWEEP_TAUS
     spec = SweepSpec(thresholds=taus, num_prompts=args.n, seed=args.seed, num_blocks=args.blocks)
     rows = _run_arm_list(args, spec.arms(), f"sweeping {len(taus)} thresholds")
@@ -451,6 +462,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _refuse_overwrites(args)
         return args.func(args)
     except CliFailure as exc:
         _info(f"error: {exc}")

@@ -1,4 +1,4 @@
-"""Per-block latency model fitted to measured sweep timings.
+"""The runtime cost model of a block, and its fit to measured (row, seconds) pairs.
 
 The timing model is linear: every drafted block pays a draft-path cost
 (drafter forward pass plus draft decode, plus scoring times an overlap
@@ -90,29 +90,6 @@ class LatencyParams:
             return 0.0, 0.0, self.c_target, 0.0
         score = self.c_score if scored else 0.0
         return self.c_draft, score, 0.0 if accepted else self.c_target, self.c_decode
-
-    @property
-    def draft_path_cost(self) -> float:
-        return self.c_draft + self.c_decode
-
-    def to_dict(self) -> dict:
-        return {
-            "c_draft": self.c_draft,
-            "c_target": self.c_target,
-            "c_decode": self.c_decode,
-            "c_score": self.c_score,
-            "overlap_mode": self.overlap_mode.value,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> LatencyParams:
-        return cls(
-            c_draft=float(d["c_draft"]),
-            c_target=float(d["c_target"]),
-            c_decode=float(d["c_decode"]),
-            c_score=float(d.get("c_score", 0.0)),
-            overlap_mode=OverlapMode(d.get("overlap_mode", "scoring_overlapped")),
-        )
 
 
 @dataclass(frozen=True)

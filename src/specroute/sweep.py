@@ -99,8 +99,6 @@ class SweepSpec:
         object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
         if not self.thresholds:
             raise ValueError("thresholds must be non-empty")
-        if self.num_prompts < 1:
-            raise ValueError("num_prompts must be >= 1")
 
     def arms(self) -> list[Arm]:
         return [target_only_arm(), *map(threshold_arm, self.thresholds), draft_only_arm()]
@@ -162,6 +160,8 @@ def run_arms(
     jobs: int = 1,
 ) -> list[SweepRow]:
     """Simulate an explicit arm list; a target_only arm anchors the speedups."""
+    if num_prompts < 1:
+        raise ValueError("num_prompts must be >= 1")
     labels = [a.label for a in arms]
     repeated = [label for label, count in Counter(labels).items() if count > 1]
     if repeated:

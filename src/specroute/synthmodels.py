@@ -60,6 +60,7 @@ from .costmodel import (
     TARGET_ONLY,
     LatencyFitReport,
     LatencyParams,
+    OverlapMode,
     fit_latencies,
 )
 from .engine import DecoderInterface, GeneratorInterface, ScorerInterface
@@ -201,23 +202,6 @@ class DraftQualityModel:
         scores[pin + 1 :] = minimum + offsets[pin:]
         return checked_scores(block_index, scores.tolist())
 
-    def to_dict(self) -> dict:
-        return {
-            "quantile_knots": [[t, a] for t, a in self.quantile_knots],
-            "upper_tail_slope": self.upper_tail_slope,
-            "lower_tail_slope": self.lower_tail_slope,
-            "frame_gap_mean": self.frame_gap_mean,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> DraftQualityModel:
-        return cls(
-            quantile_knots=tuple((float(t), float(a)) for t, a in d["quantile_knots"]),
-            upper_tail_slope=float(d.get("upper_tail_slope", DEFAULT_UPPER_TAIL_SLOPE)),
-            lower_tail_slope=float(d.get("lower_tail_slope", DEFAULT_LOWER_TAIL_SLOPE)),
-            frame_gap_mean=float(d.get("frame_gap_mean", DEFAULT_FRAME_GAP_MEAN)),
-        )
-
 
 def fit_quantile(knots: Sequence[tuple[float, float]]) -> DraftQualityModel:
     """Interpolating quantile model through measured (tau, accept_rate) knots."""
@@ -329,21 +313,6 @@ class QualityProxyModel:
         tail = quantile.accept_rate(tau) - mass_above_upper
         total += self.penalties[-1] * max(tail, 0.0)
         return total
-
-    def to_dict(self) -> dict:
-        return {
-            "base_quality": self.base_quality,
-            "edges": list(self.edges),
-            "penalties": list(self.penalties),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> QualityProxyModel:
-        return cls(
-            base_quality=float(d["base_quality"]),
-            edges=tuple(float(e) for e in d["edges"]),
-            penalties=tuple(float(p) for p in d["penalties"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -474,7 +443,6 @@ class TableRow:
     method: str  # target_only | draft_only | threshold | avg_frame | random | force_reject_random
     vr: float | None = None
     time_s: float | None = None
-    speedup: float | None = None
     accept_rate: float | None = None
     tau: float | None = None
 
@@ -510,7 +478,6 @@ def _parse_row(raw: dict) -> TableRow:
         method=method,
         vr=opt("vr"),
         time_s=opt("time_s"),
-        speedup=opt("speedup"),
         accept_rate=opt("accept_rate"),
         tau=opt("tau"),
     )
@@ -528,24 +495,8 @@ def load_reference_table(path: str | Path | None = None) -> ReferenceTable:
         source = resources.files("specroute.data").joinpath("reference_table.json")
     else:
         source = Path(path)
-    try:
-        doc = json.loads(source.read_text(encoding="utf-8"))
-        if not isinstance(doc, dict) or "main" not in doc:
-            raise CalibrationError("reference table missing 'main' section")
-        sections = {"main": doc["main"], "ablation": doc.get("ablation", [])}
-        for where, value in _non_numbers(sections, "table"):
-            if value is not None and not where.endswith(".method"):
-                raise CalibrationError(
-                    f"{_KEY_PATH.repr(where)} is not a finite number: {reprlib.repr(value)}"
-                )
-    except UnicodeDecodeError as exc:
-        raise CalibrationError(f"reference table is not valid UTF-8: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CalibrationError(f"reference table is not valid JSON: {exc}") from exc
-    except ValueError:
-        raise _digit_limit_error("reference table") from None
-    except RecursionError:
-        raise CalibrationError("reference table is nested too deeply") from None
+    text = _read_utf8(source, "reference table")
+    sections = _load_json(text, "reference table", _table_sections)
     try:
         return ReferenceTable(
             main=tuple(_parse_row(r) for r in sections["main"]),
@@ -555,6 +506,19 @@ def load_reference_table(path: str | Path | None = None) -> ReferenceTable:
         raise CalibrationError(f"reference table has the wrong shape: {exc}") from exc
 
 
+def _table_sections(doc) -> dict:
+    """The table's row arrays; each row value but "method" is a finite number or null."""
+    if not isinstance(doc, dict) or "main" not in doc:
+        raise CalibrationError("reference table missing 'main' section")
+    sections = {"main": doc["main"], "ablation": doc.get("ablation", [])}
+    for where, value in _non_numbers(sections, "table"):
+        if value is not None and not where.endswith(".method"):
+            raise CalibrationError(
+                f"{_KEY_PATH.repr(where)} is not a finite number: {reprlib.repr(value)}"
+            )
+    return sections
+
+
 # ---------------------------------------------------------------------------
 # Calibration bundle
 # ---------------------------------------------------------------------------
@@ -562,18 +526,23 @@ def load_reference_table(path: str | Path | None = None) -> ReferenceTable:
 
 @dataclass(frozen=True)
 class Calibration:
-    """Everything the simulator needs, as fitted from a reference table."""
+    """Everything the simulator needs; to_json and from_json define its file format."""
 
     quantile: DraftQualityModel
     latency: LatencyParams
     proxy: QualityProxyModel
 
     def to_json(self) -> str:
+        q, lat, proxy = self.quantile, self.latency, self.proxy
         doc = {
             "schema_version": 1,
-            "draft_quality": self.quantile.to_dict(),
-            "latency": self.latency.to_dict(),
-            "quality_proxy": self.proxy.to_dict(),
+            "draft_quality": {"quantile_knots": q.quantile_knots, "frame_gap_mean": q.frame_gap_mean,
+                              "upper_tail_slope": q.upper_tail_slope,
+                              "lower_tail_slope": q.lower_tail_slope},
+            "latency": {"c_draft": lat.c_draft, "c_target": lat.c_target, "c_decode": lat.c_decode,
+                        "c_score": lat.c_score, "overlap_mode": lat.overlap_mode.value},
+            "quality_proxy": {"base_quality": proxy.base_quality, "edges": proxy.edges,
+                              "penalties": proxy.penalties},
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -584,30 +553,33 @@ class Calibration:
     def from_json(cls, text: str) -> Calibration:
         """Parse a calibration file.
 
-        Every value but latency.overlap_mode must be a finite JSON number. Bad
-        JSON, a missing key, a wrong shape or a value that is not one raises
-        CalibrationError; a number that breaks a model invariant (such as a
-        negative latency) raises CalibrationValueError.
+        Every value but latency.overlap_mode must be a finite JSON number;
+        the tail slopes, frame_gap_mean, c_score and overlap_mode may be
+        absent. Bad JSON, a missing key, a wrong shape or a non-number
+        raises CalibrationError; a number that breaks a model invariant
+        (such as a negative latency) raises CalibrationValueError.
         """
+        doc = _load_json(text, "calibration file", _calibration_numbers)
         try:
-            doc = json.loads(text)
-            for path, value in _non_numbers(doc, "calibration"):
-                if path != "calibration.latency.overlap_mode":
-                    raise CalibrationError(
-                        f"{_KEY_PATH.repr(path)} is not a finite number: {reprlib.repr(value)}"
-                    )
-        except json.JSONDecodeError as exc:
-            raise CalibrationError(f"calibration file is not valid JSON: {exc}") from exc
-        except ValueError:
-            raise _digit_limit_error("calibration file") from None
-        except RecursionError:
-            raise CalibrationError("calibration file is nested too deeply") from None
-        try:
-            return cls(
-                quantile=DraftQualityModel.from_dict(doc["draft_quality"]),
-                latency=LatencyParams.from_dict(doc["latency"]),
-                proxy=QualityProxyModel.from_dict(doc["quality_proxy"]),
+            draft = doc["draft_quality"]
+            quantile = DraftQualityModel(
+                quantile_knots=tuple((float(t), float(a)) for t, a in draft["quantile_knots"]),
+                upper_tail_slope=float(draft.get("upper_tail_slope", DEFAULT_UPPER_TAIL_SLOPE)),
+                lower_tail_slope=float(draft.get("lower_tail_slope", DEFAULT_LOWER_TAIL_SLOPE)),
+                frame_gap_mean=float(draft.get("frame_gap_mean", DEFAULT_FRAME_GAP_MEAN)),
             )
+            times = doc["latency"]
+            latency = LatencyParams(
+                float(times["c_draft"]), float(times["c_target"]), float(times["c_decode"]),
+                c_score=float(times.get("c_score", 0.0)),
+                overlap_mode=OverlapMode(times.get("overlap_mode", OverlapMode.SCORING_OVERLAPPED)),
+            )
+            proxy = doc["quality_proxy"]
+            return cls(quantile, latency, QualityProxyModel(
+                base_quality=float(proxy["base_quality"]),
+                edges=tuple(float(e) for e in proxy["edges"]),
+                penalties=tuple(float(p) for p in proxy["penalties"]),
+            ))
         except KeyError as exc:
             raise CalibrationError(f"calibration file missing key {exc.args[0]!r}") from exc
         except TypeError as exc:
@@ -617,29 +589,55 @@ class Calibration:
 
     @classmethod
     def load(cls, path: str | Path) -> Calibration:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise CalibrationError(f"calibration file is not valid UTF-8: {exc}") from None
-        return cls.from_json(text)
+        return cls.from_json(_read_utf8(Path(path), "calibration file"))
 
     def with_seed(self, seed: int) -> Calibration:
         """Same fitted curves, different sampling stream."""
         return replace(self, quantile=replace(self.quantile, rng_seed=seed))
 
 
+def _calibration_numbers(doc):
+    """doc; every value but latency.overlap_mode is a finite number."""
+    for where, value in _non_numbers(doc, "calibration"):
+        if where != "calibration.latency.overlap_mode":
+            raise CalibrationError(
+                f"{_KEY_PATH.repr(where)} is not a finite number: {reprlib.repr(value)}"
+            )
+    return doc
+
+
+def _read_utf8(source, what: str) -> str:
+    """source's text; invalid UTF-8 raises CalibrationError naming `what`."""
+    try:
+        return source.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CalibrationError(f"{what} is not valid UTF-8: {exc}") from None
+
+
+def _load_json(text: str, what: str, check):
+    """check(json.loads(text)), every JSON failure a CalibrationError naming `what`.
+
+    check is the caller's refusal of non-numbers. Bad JSON, an integer
+    literal past the digit limit and nesting too deep for json or for
+    check's walk are the failures.
+    """
+    try:
+        return check(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise CalibrationError(f"{what} is not valid JSON: {exc}") from exc
+    except ValueError:  # json.loads's one ValueError that is not a JSONDecodeError
+        raise CalibrationError(
+            f"{what} is not valid JSON: an integer literal has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
+    except RecursionError:
+        raise CalibrationError(f"{what} is nested too deeply") from None
+
+
 # Echoes a key path from _non_numbers in a message: every path of a
 # well-formed file fits, and a path built from a huge key is cut short.
 _KEY_PATH = reprlib.Repr()
 _KEY_PATH.maxstring = 80
-
-
-def _digit_limit_error(what: str) -> CalibrationError:
-    """The error for json.loads's one ValueError that is not a JSONDecodeError."""
-    return CalibrationError(
-        f"{what} is not valid JSON: an integer literal has more than "
-        f"{sys.get_int_max_str_digits()} digits"
-    )
 
 
 def _non_numbers(value, path: str):

@@ -16,13 +16,13 @@ def synthetic_table(calibration: Calibration) -> ReferenceTable:
     quantile, latency, proxy = calibration.quantile, calibration.latency, calibration.proxy
     b = TABLE_NUM_BLOCKS
     t_target = b * latency.c_target
-    draft_path = b * latency.draft_path_cost
+    draft_path = b * (latency.c_draft + latency.c_decode)
 
     def run_time(rate: float) -> float:
         return draft_path + expected_rejected_blocks(rate, b) * latency.c_target
 
     main = [
-        TableRow(method=TARGET_ONLY, vr=proxy.base_quality, time_s=t_target, speedup=1.0)
+        TableRow(method=TARGET_ONLY, vr=proxy.base_quality, time_s=t_target)
     ]
     for tau, rate in quantile.quantile_knots:
         vr = proxy.base_quality - (b - 1) * proxy.expected_penalty_above(quantile, tau)
@@ -33,15 +33,12 @@ def synthetic_table(calibration: Calibration) -> ReferenceTable:
                 tau=tau,
                 vr=vr,
                 time_s=time_s,
-                speedup=t_target / time_s,
                 accept_rate=rate,
             )
         )
     vr_draft = proxy.base_quality - b * proxy.expected_penalty_above(quantile, float("-inf"))
     main.append(
-        TableRow(
-            method=DRAFT_ONLY, vr=vr_draft, time_s=draft_path, speedup=t_target / draft_path
-        )
+        TableRow(method=DRAFT_ONLY, vr=vr_draft, time_s=draft_path)
     )
 
     ablation = []
@@ -56,7 +53,6 @@ def synthetic_table(calibration: Calibration) -> ReferenceTable:
                 tau=tau,
                 vr=vr,
                 time_s=time_s,
-                speedup=t_target / time_s,
                 accept_rate=rate,
             )
         )
@@ -70,7 +66,6 @@ def table_to_json_dict(table: ReferenceTable) -> dict:
             "tau": r.tau,
             "vr": r.vr,
             "time_s": r.time_s,
-            "speedup": r.speedup,
             "accept_rate": r.accept_rate,
         }
 

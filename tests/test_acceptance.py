@@ -222,7 +222,7 @@ def test_criterion_6_property_suite(calibration, num_blocks):
                 for t in traces:
                     expected_seed = noise_seed_for_block(seed, prompt.prompt_id, t.block_index)
                     assert res.target_kv.entries[t.block_index].block.noise_seed == expected_seed
-                    producer = res.target_kv.producers()[t.block_index]
+                    producer = res.target_kv.entries[t.block_index].producer
                     assert producer is (
                         Producer.DRAFT if t.decision.accepted else Producer.TARGET
                     )

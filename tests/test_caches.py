@@ -85,7 +85,7 @@ class TestKVCache:
         rebuilt = cache.replay()
         assert rebuilt == cache
         assert rebuilt.digests() == cache.digests()
-        assert rebuilt.producers() == cache.producers()
+        assert [e.producer for e in rebuilt.entries] == [e.producer for e in cache.entries]
 
     def test_committed_payloads_refuse_writes(self):
         cache = KVCache(CacheOwner.DRAFTER)
@@ -110,14 +110,14 @@ class TestKVCache:
             cache.commit(make_block(i, fill=float(i)))
         fork = cache.fork()
         assert fork == cache and fork is not cache
-        assert fork.producers() == cache.producers()
+        assert [e.producer for e in fork.entries] == [e.producer for e in cache.entries]
         cache.commit(make_block(3, Producer.DRAFT, fill=1.0))
         fork.commit(make_block(3, Producer.TARGET, fill=2.0))
         assert len(cache) == len(fork) == 4
         assert cache.digests()[:3] == fork.digests()[:3]
         assert cache.digests()[3] != fork.digests()[3]
-        assert cache.producers()[3] is Producer.DRAFT
-        assert fork.producers()[3] is Producer.TARGET
+        assert cache.entries[3].producer is Producer.DRAFT
+        assert fork.entries[3].producer is Producer.TARGET
 
     def test_forged_digest_raises_integrity_error(self, stack, calibration, config):
         cache = KVCache(CacheOwner.TARGET)

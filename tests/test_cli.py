@@ -545,6 +545,101 @@ class TestSameOutput:
         assert path.read_text() == "kept\n" if target == "symlink" else not path.exists()
 
 
+class TestOutputOverInput:
+    """An output that names a file the command reads: exit 2 before anything is read or written."""
+
+    @pytest.mark.parametrize(
+        "command,output,source",
+        [("fit", "--out", "--table"), ("simulate", "--out", "--calibration"),
+         ("simulate", "--export-trace", "--calibration"), ("sweep", "--out", "--calibration"),
+         ("sweep", "--out-json", "--calibration"), ("ablate", "--out", "$SPECROUTE_CALIBRATION"),
+         ("replay", "--out", "--trace"), ("replay", "--out", "--calibration")],
+    )
+    @pytest.mark.parametrize("spelling", ["same", "other-spelling", "symlink"])
+    def test_output_naming_an_input_is_usage_error(
+        self, cal_path, tmp_path, capsys, monkeypatch, command, output, source, spelling
+    ):
+        monkeypatch.delenv("SPECROUTE_CALIBRATION", raising=False)
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text('{"prompt_id":"p0","block_index":0,"frame_scores":[0.5]}\n')
+        cal = tmp_path / "cal.json"
+        cal.write_bytes(cal_path.read_bytes())
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(table_to_json_dict(load_reference_table())))
+        inputs = {"--table": table, "--calibration": cal, "$SPECROUTE_CALIBRATION": cal,
+                  "--trace": trace}
+        read = inputs[source]
+        before = read.read_bytes()
+        target = str(read)
+        if spelling == "other-spelling":
+            (tmp_path / "sub").mkdir()
+            target = str(tmp_path / "sub" / ".." / read.name)
+        elif spelling == "symlink":
+            (tmp_path / "link").symlink_to(read)
+            target = str(tmp_path / "link")
+
+        argv = [command]
+        if command == "fit":
+            argv += ["--table", str(table)]
+        elif command == "ablate":
+            monkeypatch.setenv("SPECROUTE_CALIBRATION", str(cal))
+        else:
+            argv += ["--calibration", str(cal)]
+        if command == "replay":
+            argv += ["--trace", str(trace), "--tau", "-0.7"]
+        elif command != "fit":
+            argv += ["--n", "1"]
+        if output != "--out":
+            argv += ["--out", str(tmp_path / "o")]
+        argv += [output, target]
+
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {output} would overwrite the {source} input {target}\n"
+        assert captured.out == ""
+        assert read.read_bytes() == before
+        assert not (tmp_path / "o").exists()
+
+    def test_stdout_is_not_an_input_file_named_dash(self, cal_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-").write_text('{"prompt_id":"p0","block_index":0,"frame_scores":[0.5]}\n')
+        argv = ["replay", "--trace", "-", "--tau", "-0.7", "--calibration", str(cal_path)]
+        assert main(argv + ["--out", "-"]) == 0
+        assert json.loads(capsys.readouterr().out)["runs"][0]["prompt_id"] == "p0"
+        assert main(argv + ["--out", "./-"]) == 2
+        assert capsys.readouterr().err == "error: --out would overwrite the --trace input ./-\n"
+
+
+class TestMalformedDocuments:
+    """The reference table and the calibration file share one JSON loader and its messages."""
+
+    @pytest.mark.parametrize(
+        "content,reason",
+        [(b"\xff\xfe{}", "is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+                        "invalid start byte"),
+         (b"{nope", "is not valid JSON: Expecting property name enclosed in double quotes: "
+                    "line 1 column 2 (char 1)"),
+         (b'{"main": ' + b"9" * 5000 + b"}",
+          f"is not valid JSON: an integer literal has more than {sys.get_int_max_str_digits()} digits"),
+         (b'{"main": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "is nested too deeply")],
+        ids=["invalid_utf8", "invalid_json", "integer_over_the_digit_limit", "nested_too_deeply"],
+    )
+    @pytest.mark.parametrize("document", ["table", "calibration"])
+    def test_malformed_document_is_a_parse_error(self, tmp_path, capsys, document, content, reason):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        out = tmp_path / "o"
+        if document == "table":
+            argv = ["fit", "--table", str(path), "--out", str(out)]
+            expected = f"error: cannot parse table: reference table {reason}\n"
+        else:
+            argv = ["simulate", "--calibration", str(path), "--out", str(out)]
+            expected = f"error: cannot parse calibration file {path}: calibration file {reason}\n"
+        assert main(argv) == 3
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
+
 class TestSweep:
     def test_smoke_run_is_fast(self, cal_path, tmp_path):
         out = tmp_path / "sweep.csv"

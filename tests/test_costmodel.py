@@ -97,7 +97,7 @@ class TestFitLatencies:
     def test_params_close_to_closed_form(self):
         params, _ = fit_latencies(ALL_ROWS)
         assert params.c_target == pytest.approx(97.0 / 9, rel=0.05)
-        assert params.draft_path_cost == pytest.approx(25.7 / 9, rel=0.05)
+        assert params.c_draft + params.c_decode == pytest.approx(25.7 / 9, rel=0.05)
         assert params.overlap_mode is OverlapMode.SCORING_OVERLAPPED
 
     def test_missing_baseline_is_named(self):
@@ -119,8 +119,9 @@ class TestFitLatencies:
 
     def test_decode_fraction_splits_draft_path(self):
         params, _ = fit_latencies(ALL_ROWS)
-        assert params.c_decode == pytest.approx(0.25 * params.draft_path_cost)
-        assert params.c_draft == pytest.approx(0.75 * params.draft_path_cost)
+        draft_path = params.c_draft + params.c_decode
+        assert params.c_decode == pytest.approx(0.25 * draft_path)
+        assert params.c_draft == pytest.approx(0.75 * draft_path)
 
 
 @pytest.fixture(scope="module")

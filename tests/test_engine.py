@@ -51,17 +51,17 @@ def run(stack, calibration, config, policy, prompt_id="p0", **kwargs):
 class TestBaselinePolicies:
     def test_always_reject_yields_target_only_content(self, stack, calibration, config):
         res = run(stack, calibration, config, AlwaysRejectPolicy())
-        assert res.target_kv.producers() == (Producer.TARGET,) * 9
+        assert [e.producer for e in res.target_kv.entries] == [Producer.TARGET] * 9
         assert res.summary.accept_rate_excl_block0 == 0.0
 
     def test_always_accept_without_force_is_draft_only(self, stack, calibration, config):
         res = run(stack, calibration, config, AlwaysAcceptPolicy())
-        assert res.target_kv.producers() == (Producer.DRAFT,) * 9
+        assert [e.producer for e in res.target_kv.entries] == [Producer.DRAFT] * 9
         assert res.summary.accept_rate_excl_block0 == 1.0
 
     def test_default_policy_forces_target_block0(self, stack, calibration, config):
         res = run(stack, calibration, config, ThresholdPolicy())
-        assert res.target_kv.producers()[0] is Producer.TARGET
+        assert res.target_kv.entries[0].producer is Producer.TARGET
         assert res.summary.block_traces[0].decision.value == "forced_first_block"
 
 
@@ -71,7 +71,7 @@ class TestRunShape:
             res = run(stack, calibration, config, policy)
             assert len(res.drafter_kv) == 9
             assert len(res.target_kv) == 9
-            assert res.drafter_kv.producers() == (Producer.DRAFT,) * 9
+            assert [e.producer for e in res.drafter_kv.entries] == [Producer.DRAFT] * 9
 
     @pytest.mark.parametrize("num_blocks", [1, 2, 9])
     def test_emitted_frame_counts(self, stack, calibration, num_blocks):
@@ -83,9 +83,9 @@ class TestRunShape:
 
     def test_target_kv_matches_decision_sequence(self, stack, calibration, config):
         res = run(stack, calibration, config, ThresholdPolicy())
-        for trace, producer in zip(res.summary.block_traces, res.target_kv.producers()):
+        for trace, entry in zip(res.summary.block_traces, res.target_kv.entries):
             expected = Producer.DRAFT if trace.decision.accepted else Producer.TARGET
-            assert producer is expected
+            assert entry.producer is expected
 
     def test_target_time_iff_rejected(self, stack, calibration, config):
         res = run(stack, calibration, config, ThresholdPolicy(), prompt_id="p3")
@@ -223,7 +223,7 @@ class TestTargetOnlyMode:
             draft_enabled=False,
         )
         assert len(res.drafter_kv) == 0
-        assert res.target_kv.producers() == (Producer.TARGET,) * 9
+        assert [e.producer for e in res.target_kv.entries] == [Producer.TARGET] * 9
         for trace in res.summary.block_traces:
             assert trace.draft_time_s == 0.0
             assert trace.decode_time_s == 0.0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -72,3 +73,17 @@ def test_library_report_writer_gives_the_benchmarks_replay_document(calibration,
     text = "".join(parts)
     assert text == worker.replay_doc(runs, worker.REPLAY_TAU)
     assert worker.sha256(text) == GOLDEN["replay"]
+
+
+@pytest.mark.xfail(
+    strict=True, raises=statistics.StatisticsError,
+    reason="ROADMAP item 1: SpeedGauge.split has no probe sample for an operation that ends "
+    "before the first probe, so a short first operation ends the worker",
+)
+def test_gauge_splits_an_operation_that_ends_before_the_first_probe():
+    """A gauge with no samples yet, as when the first operation beats the 50 ms probe.
+
+    The gauge is never entered, so no timer starts.
+    """
+    net, _ = worker.SpeedGauge().split(0.0, 0.01)
+    assert net == pytest.approx(0.01)

@@ -38,9 +38,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(thresholds=())
 
-    def test_requires_prompts(self):
-        with pytest.raises(ValueError):
-            SweepSpec(thresholds=(-0.7,), num_prompts=0)
+    def test_requires_prompts(self, calibration):
+        # run_arms checks the count, so run_sweep and a direct call fail alike.
+        with pytest.raises(ValueError, match="num_prompts must be >= 1"):
+            run_sweep(SweepSpec(thresholds=(-0.7,), num_prompts=0), calibration)
+        with pytest.raises(ValueError, match="num_prompts must be >= 1"):
+            run_arms([target_only_arm()], 0, 42, calibration)
 
     def test_arm_order_has_baselines_around_thresholds(self):
         labels = [a.label for a in SweepSpec(thresholds=SMALL_TAUS).arms()]

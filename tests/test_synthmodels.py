@@ -17,7 +17,11 @@ from specroute.core import (
     block_digest,
     default_config,
 )
+from specroute.costmodel import LatencyParams, OverlapMode
 from specroute.synthmodels import (
+    DEFAULT_FRAME_GAP_MEAN,
+    DEFAULT_LOWER_TAIL_SLOPE,
+    DEFAULT_UPPER_TAIL_SLOPE,
     Calibration,
     CalibrationError,
     DraftQualityModel,
@@ -268,6 +272,53 @@ class TestQualityProxyFit:
         assert all(p >= 0 for p in pens)
 
 
+# Fixed numbers with no fit behind them, so the pin does not depend on scipy's solvers.
+PINNED_CALIBRATION = Calibration(
+    DraftQualityModel(quantile_knots=((-0.5, 0.25), (-1.0, 0.75)), upper_tail_slope=0.2,
+                      lower_tail_slope=0.125, frame_gap_mean=0.5),
+    LatencyParams(c_draft=1.5, c_target=6.0, c_decode=0.5, c_score=0.25,
+                  overlap_mode=OverlapMode.FULLY_SEQUENTIAL),
+    QualityProxyModel(base_quality=0.08, edges=(-0.75,), penalties=(0.001, 0.002)),
+)
+PINNED_CALIBRATION_TEXT = """\
+{
+  "draft_quality": {
+    "frame_gap_mean": 0.5,
+    "lower_tail_slope": 0.125,
+    "quantile_knots": [
+      [
+        -0.5,
+        0.25
+      ],
+      [
+        -1.0,
+        0.75
+      ]
+    ],
+    "upper_tail_slope": 0.2
+  },
+  "latency": {
+    "c_decode": 0.5,
+    "c_draft": 1.5,
+    "c_score": 0.25,
+    "c_target": 6.0,
+    "overlap_mode": "fully_sequential"
+  },
+  "quality_proxy": {
+    "base_quality": 0.08,
+    "edges": [
+      -0.75
+    ],
+    "penalties": [
+      0.001,
+      0.002
+    ]
+  },
+  "schema_version": 1
+}
+"""
+
+
 class TestCalibrationBundle:
     def test_save_load_round_trip(self, calibration, tmp_path):
         path = tmp_path / "cal.json"
@@ -276,6 +327,30 @@ class TestCalibrationBundle:
         assert loaded.quantile == calibration.quantile
         assert loaded.latency == calibration.latency
         assert loaded.proxy == calibration.proxy
+
+    def test_file_text_is_pinned(self):
+        assert PINNED_CALIBRATION.to_json() == PINNED_CALIBRATION_TEXT
+        assert Calibration.from_json(PINNED_CALIBRATION_TEXT) == PINNED_CALIBRATION
+
+    def test_optional_keys_read_as_their_defaults(self):
+        doc = json.loads(PINNED_CALIBRATION_TEXT)
+        for section, key in [("draft_quality", "upper_tail_slope"),
+                             ("draft_quality", "lower_tail_slope"),
+                             ("draft_quality", "frame_gap_mean"),
+                             ("latency", "c_score"), ("latency", "overlap_mode")]:
+            del doc[section][key]
+        loaded = Calibration.from_json(json.dumps(doc))
+        assert loaded.quantile == DraftQualityModel(
+            quantile_knots=((-0.5, 0.25), (-1.0, 0.75)),
+            upper_tail_slope=DEFAULT_UPPER_TAIL_SLOPE,
+            lower_tail_slope=DEFAULT_LOWER_TAIL_SLOPE,
+            frame_gap_mean=DEFAULT_FRAME_GAP_MEAN,
+        )
+        assert loaded.latency == LatencyParams(
+            c_draft=1.5, c_target=6.0, c_decode=0.5,
+            c_score=0.0, overlap_mode=OverlapMode.SCORING_OVERLAPPED,
+        )
+        assert loaded.proxy == PINNED_CALIBRATION.proxy
 
     def test_with_seed_changes_streams_not_curves(self, calibration):
         other = calibration.with_seed(7)
@@ -299,8 +374,8 @@ class TestCalibrationBundle:
             calibration.quantile.frame_gap_mean, abs=1e-9
         )
         assert refit.latency.c_target == pytest.approx(calibration.latency.c_target, abs=1e-6)
-        assert refit.latency.draft_path_cost == pytest.approx(
-            calibration.latency.draft_path_cost, abs=1e-6
+        assert refit.latency.c_draft + refit.latency.c_decode == pytest.approx(
+            calibration.latency.c_draft + calibration.latency.c_decode, abs=1e-6
         )
         assert np.allclose(refit.proxy.penalties, calibration.proxy.penalties, atol=1e-7)
         assert latency_report.max_abs_rel_error < 1e-6
