@@ -20,8 +20,9 @@ import argparse
 import json
 import math
 import os
+import reprlib
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, nullcontext
 
 from .core import GenerationConfig, summary_to_dict
 from .costmodel import LatencyFitError
@@ -34,6 +35,7 @@ from .sweep import (
     draft_only_arm,
     pareto_check,
     random_arm,
+    repeated_labels,
     rows_to_csv,
     rows_to_json_dict,
     run_arms,
@@ -45,6 +47,7 @@ from .synthmodels import (
     CalibrationError,
     CalibrationValueError,
     QUALITY_FIT_TOLERANCE,
+    REFERENCE_TABLE,
     fit_calibration,
     load_reference_table,
 )
@@ -106,31 +109,24 @@ def _output(flag: str, path: str):
 
     Opening, writing, flushing and closing fail as _writing says. Each
     write is guarded on its own, so its failure names this output even
-    while another output is open around it. stdout is flushed inside the
-    guard.
+    while another output is open around it. The stream is flushed inside
+    the guard; stdout is left open.
     """
     with _writing(flag, path):
-        if path == "-":
-            yield _guarded(sys.stdout.write, flag, path)
-            sys.stdout.flush()
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                yield _guarded(fh.write, flag, path)
+        with nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8") as fh:
+            def write(text: str) -> None:
+                with _writing(flag, path):
+                    fh.write(text)
+
+            yield write
+            fh.flush()
 
 
-def _guarded(write, flag: str, path: str):
-    """`write`, failing as _writing says for this output."""
-
-    def guarded_write(text: str) -> None:
-        with _writing(flag, path):
-            write(text)
-
-    return guarded_write
-
-
-def _write_text(flag: str, path: str, text: str) -> None:
-    with _output(flag, path) as write:
-        write(text)
+def _calibration_input(args) -> tuple[str, str | None]:
+    """The flag and path of the calibration file: --calibration, else $SPECROUTE_CALIBRATION."""
+    if args.calibration:
+        return "--calibration", args.calibration
+    return f"${CALIBRATION_ENV}", os.environ.get(CALIBRATION_ENV)
 
 
 def _refuse_overwrites(args) -> None:
@@ -142,8 +138,7 @@ def _refuse_overwrites(args) -> None:
     """
     inputs = [("--table", getattr(args, "table", None)), ("--trace", getattr(args, "trace", None))]
     if hasattr(args, "calibration"):
-        inputs.append(("--calibration", args.calibration) if args.calibration
-                      else (f"${CALIBRATION_ENV}", os.environ.get(CALIBRATION_ENV)))
+        inputs.append(_calibration_input(args))
     # A real path, or "-" for stdout, maps to (its flag, whether it is an output).
     named = {os.path.realpath(path): (flag, False) for flag, path in inputs if path}
     for flag in ("--out", "--export-trace", "--out-json"):
@@ -160,15 +155,12 @@ def _refuse_overwrites(args) -> None:
 
 def _load_calibration(args, required: bool = True) -> Calibration | None:
     """The calibration that --calibration or $SPECROUTE_CALIBRATION names, if one does."""
-    path = args.calibration or os.environ.get(CALIBRATION_ENV)
+    _, path = _calibration_input(args)
     if not path:
         if not required:
             return None
-        raise CliFailure(
-            EXIT_VALIDATION,
-            f"no calibration file: pass --calibration or set {CALIBRATION_ENV} "
-            "(create one with `specroute fit`)",
-        )
+        raise CliFailure(EXIT_VALIDATION, f"no calibration file: pass --calibration or set "
+                         f"{CALIBRATION_ENV} (create one with `specroute fit`)")
     try:
         return Calibration.load(path)
     except OSError as exc:
@@ -199,8 +191,8 @@ def cmd_fit(args) -> int:
     except CalibrationError as exc:
         raise CliFailure(EXIT_CALIBRATION, f"calibration fit failed: {exc}") from exc
 
-    with _writing("--out", args.out):
-        calibration.save(args.out)
+    with _output("--out", args.out) as write:
+        write(calibration.to_json())
     _info(f"wrote calibration to {args.out}")
     _info("latency fit:")
     for line in latency_report.lines():
@@ -295,7 +287,8 @@ def _run_arm_list(args, arms: list[Arm], intro: str) -> list[SweepRow]:
     except (ValueError, BlockExecutionError) as exc:
         # Such as a calibration that gives an arm zero simulated time or breaks a model.
         raise CliFailure(EXIT_VALIDATION, str(exc)) from exc
-    _write_text("--out", args.out, rows_to_csv(rows))
+    with _output("--out", args.out) as write:
+        write(rows_to_csv(rows))
     return rows
 
 
@@ -303,13 +296,17 @@ def cmd_sweep(args) -> int:
     # argparse has already checked what SweepSpec and run_arms require: thresholds and n >= 1.
     taus = tuple(args.tau_list) if args.tau_list else DEFAULT_SWEEP_TAUS
     spec = SweepSpec(thresholds=taus, num_prompts=args.n, seed=args.seed, num_blocks=args.blocks)
-    rows = _run_arm_list(args, spec.arms(), f"sweeping {len(taus)} thresholds")
+    arms = spec.arms()
+    if repeated := repeated_labels(arms):
+        raise CliFailure(EXIT_USAGE, f"--tau-list repeats a threshold: {reprlib.repr(repeated)}")
+    rows = _run_arm_list(args, arms, f"sweeping {len(taus)} thresholds")
     report = pareto_check(rows)
     for line in report.lines():
         _info(line)
     if args.out_json:
         doc = rows_to_json_dict(rows, report, meta={"seed": args.seed, "num_prompts": args.n})
-        _write_text("--out-json", args.out_json, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        with _output("--out-json", args.out_json) as write:
+            write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0 if report.ok else EXIT_PARETO
 
 
@@ -401,8 +398,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--blocks", type=_positive_int, default=GenerationConfig.num_blocks,
                        help="blocks per video (default %(default)s)")
 
+    def add_arm_list(p):
+        p.add_argument("--n", type=_positive_int, default=1003, help="prompts per arm")
+        p.add_argument("--jobs", type=_positive_int, default=1,
+                       help="parallel workers (capped at the CPU count)")
+        p.add_argument("--out", default="-", help="CSV output (default stdout)")
+
+    def add_aggregation(p):
+        p.add_argument("--aggregation", default="min_frame",
+                       choices=[m.value for m in AggregationMode])
+
     p_fit = sub.add_parser("fit", help="fit calibration from a measurement table")
-    p_fit.add_argument("--table", default=None, help="table JSON (default: bundled)")
+    p_fit.add_argument("--table", default=REFERENCE_TABLE, help="table JSON (default: bundled)")
     p_fit.add_argument("--out", required=True, help="calibration file to write")
     p_fit.set_defaults(func=cmd_fit)
 
@@ -417,8 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
                        action="store_true", default=None)
     force.add_argument("--no-force-reject-first", dest="force_reject_first",
                        action="store_false")
-    p_sim.add_argument("--aggregation", default="min_frame",
-                       choices=[m.value for m in AggregationMode])
+    add_aggregation(p_sim)
     p_sim.add_argument("--n", type=_positive_int, default=1, help="number of prompts")
     p_sim.add_argument("--out", default="-", help="JSONL output (default stdout)")
     p_sim.add_argument("--export-trace", default=None,
@@ -429,26 +435,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sweep)
     p_sweep.add_argument("--tau-list", type=_finite_float, nargs="+", default=None,
                          help=f"thresholds (default {' '.join(str(t) for t in DEFAULT_SWEEP_TAUS)})")
-    p_sweep.add_argument("--n", type=_positive_int, default=1003, help="prompts per arm")
-    p_sweep.add_argument("--jobs", type=_positive_int, default=1,
-                         help="parallel workers (capped at the CPU count)")
-    p_sweep.add_argument("--out", default="-", help="CSV output (default stdout)")
+    add_arm_list(p_sweep)
     p_sweep.add_argument("--out-json", default=None, help="optional JSON report")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_abl = sub.add_parser("ablate", help="scoring/routing ablation arm set")
     add_common(p_abl)
-    p_abl.add_argument("--n", type=_positive_int, default=1003, help="prompts per arm")
-    p_abl.add_argument("--jobs", type=_positive_int, default=1,
-                       help="parallel workers (capped at the CPU count)")
-    p_abl.add_argument("--out", default="-", help="CSV output (default stdout)")
+    add_arm_list(p_abl)
     p_abl.set_defaults(func=cmd_ablate)
 
     p_rep = sub.add_parser("replay", help="counterfactual replay of a trace file")
     p_rep.add_argument("--trace", required=True, help="line-delimited trace file")
     p_rep.add_argument("--tau", type=_finite_float, required=True)
-    p_rep.add_argument("--aggregation", default="min_frame",
-                       choices=[m.value for m in AggregationMode])
+    add_aggregation(p_rep)
     p_rep.add_argument("--no-force-reject-first", action="store_true")
     p_rep.add_argument("--calibration", default=None,
                        help="latency/quality fallback for records missing timings")

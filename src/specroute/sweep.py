@@ -18,7 +18,7 @@ import os
 import reprlib
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .core import GenerationConfig, PromptSpec
@@ -43,6 +43,7 @@ __all__ = [
     "run_prompts",
     "SweepSpec",
     "SweepRow",
+    "repeated_labels",
     "run_arms",
     "run_sweep",
     "ablation_arms",
@@ -151,6 +152,11 @@ def _simulate_chunk(
     ]
 
 
+def repeated_labels(arms: Sequence[Arm]) -> list[str]:
+    """The labels that more than one of `arms` carries; run_arms refuses them."""
+    return [label for label, count in Counter(a.label for a in arms).items() if count > 1]
+
+
 def run_arms(
     arms: Sequence[Arm],
     num_prompts: int,
@@ -163,8 +169,7 @@ def run_arms(
     if num_prompts < 1:
         raise ValueError("num_prompts must be >= 1")
     labels = [a.label for a in arms]
-    repeated = [label for label, count in Counter(labels).items() if count > 1]
-    if repeated:
+    if repeated := repeated_labels(arms):
         raise ValueError(f"arm labels must be unique; repeated: {reprlib.repr(repeated)}")
     if "target_only" not in labels:
         raise ValueError("arm list needs a target_only arm to define speedups")
@@ -277,26 +282,8 @@ def rows_to_csv(rows: Sequence[SweepRow]) -> str:
 
 
 def rows_to_json_dict(rows: Sequence[SweepRow], pareto: ParetoReport, meta: dict) -> dict:
-    return {
-        "schema_version": 1,
-        "rows": [
-            {
-                "label": r.label,
-                "tau": r.tau,
-                "quality": r.quality,
-                "time_s": r.time_s,
-                "speedup": r.speedup,
-                "accept_rate": r.accept_rate,
-            }
-            for r in rows
-        ],
-        "pareto": {
-            "ok": pareto.ok,
-            "violations": list(pareto.violations),
-            "rows_checked": pareto.rows_checked,
-        },
-        "meta": meta,
-    }
+    return {"schema_version": 1, "rows": [asdict(r) for r in rows], "pareto": asdict(pareto),
+            "meta": meta}
 
 
 def ablation_arms() -> list[Arm]:

@@ -29,7 +29,6 @@ import math
 import reprlib
 import sys
 from dataclasses import dataclass, field, replace
-from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
@@ -91,6 +90,7 @@ DEFAULT_FRAME_GAP_MEAN = 0.34
 DEFAULT_UPPER_TAIL_SLOPE = 0.18
 DEFAULT_LOWER_TAIL_SLOPE = 0.10
 QUALITY_FIT_TOLERANCE = 5e-4
+REFERENCE_TABLE = Path(__file__).with_name("data") / "reference_table.json"
 
 
 class CalibrationError(RuntimeError):
@@ -483,7 +483,7 @@ def _parse_row(raw: dict) -> TableRow:
     )
 
 
-def load_reference_table(path: str | Path | None = None) -> ReferenceTable:
+def load_reference_table(path: str | Path = REFERENCE_TABLE) -> ReferenceTable:
     """Load the bundled (or an external) reference measurement table.
 
     Rows are objects in the arrays "main" and (optionally) "ablation";
@@ -491,11 +491,7 @@ def load_reference_table(path: str | Path | None = None) -> ReferenceTable:
     Invalid UTF-8 or JSON, a wrong shape or a row value that is not a
     finite number raises CalibrationError.
     """
-    if path is None:
-        source = resources.files("specroute.data").joinpath("reference_table.json")
-    else:
-        source = Path(path)
-    text = _read_utf8(source, "reference table")
+    text = _read_utf8(Path(path), "reference table")
     sections = _load_json(text, "reference table", _table_sections)
     try:
         return ReferenceTable(
@@ -546,24 +542,25 @@ class Calibration:
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
-
     @classmethod
     def from_json(cls, text: str) -> Calibration:
         """Parse a calibration file.
 
         Every value but latency.overlap_mode must be a finite JSON number;
         the tail slopes, frame_gap_mean, c_score and overlap_mode may be
-        absent. Bad JSON, a missing key, a wrong shape or a non-number
-        raises CalibrationError; a number that breaks a model invariant
-        (such as a negative latency) raises CalibrationValueError.
+        absent. quantile_knots, edges and penalties are arrays, and each
+        knot is an array of two. Bad JSON, a missing key, a wrong shape or
+        a non-number raises CalibrationError; a value that breaks a model
+        invariant (such as a negative latency or an unknown overlap_mode)
+        raises CalibrationValueError.
         """
         doc = _load_json(text, "calibration file", _calibration_numbers)
         try:
             draft = doc["draft_quality"]
+            knots = _array(draft["quantile_knots"], "calibration.draft_quality.quantile_knots")
             quantile = DraftQualityModel(
-                quantile_knots=tuple((float(t), float(a)) for t, a in draft["quantile_knots"]),
+                quantile_knots=[_array(knot, f"calibration.draft_quality.quantile_knots[{i}]", 2)
+                                for i, knot in enumerate(knots)],
                 upper_tail_slope=float(draft.get("upper_tail_slope", DEFAULT_UPPER_TAIL_SLOPE)),
                 lower_tail_slope=float(draft.get("lower_tail_slope", DEFAULT_LOWER_TAIL_SLOPE)),
                 frame_gap_mean=float(draft.get("frame_gap_mean", DEFAULT_FRAME_GAP_MEAN)),
@@ -572,13 +569,13 @@ class Calibration:
             latency = LatencyParams(
                 float(times["c_draft"]), float(times["c_target"]), float(times["c_decode"]),
                 c_score=float(times.get("c_score", 0.0)),
-                overlap_mode=OverlapMode(times.get("overlap_mode", OverlapMode.SCORING_OVERLAPPED)),
+                overlap_mode=_overlap_mode(times),
             )
             proxy = doc["quality_proxy"]
             return cls(quantile, latency, QualityProxyModel(
                 base_quality=float(proxy["base_quality"]),
-                edges=tuple(float(e) for e in proxy["edges"]),
-                penalties=tuple(float(p) for p in proxy["penalties"]),
+                edges=_array(proxy["edges"], "calibration.quality_proxy.edges"),
+                penalties=_array(proxy["penalties"], "calibration.quality_proxy.penalties"),
             ))
         except KeyError as exc:
             raise CalibrationError(f"calibration file missing key {exc.args[0]!r}") from exc
@@ -594,6 +591,22 @@ class Calibration:
     def with_seed(self, seed: int) -> Calibration:
         """Same fitted curves, different sampling stream."""
         return replace(self, quantile=replace(self.quantile, rng_seed=seed))
+
+
+def _array(value, where: str, length: int | None = None) -> list:
+    """value if it is a JSON array (of `length` items, if given); TypeError if not."""
+    if isinstance(value, list) and length in (None, len(value)):
+        return value
+    shape = "an array" if length is None else f"an array of {length}"
+    raise TypeError(f"{_KEY_PATH.repr(where)} is not {shape}")
+
+
+def _overlap_mode(times: dict) -> OverlapMode:
+    """latency.overlap_mode, scoring_overlapped if absent; an unknown mode's echo is cut short."""
+    mode = times.get("overlap_mode", OverlapMode.SCORING_OVERLAPPED)
+    if mode not in list(OverlapMode):
+        raise ValueError(f"{reprlib.repr(mode)} is not a valid OverlapMode")
+    return OverlapMode(mode)
 
 
 def _calibration_numbers(doc):

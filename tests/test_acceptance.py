@@ -93,7 +93,7 @@ def full_sweep(cal_file, tmp_path_factory):
 @pytest.fixture(scope="module")
 def cal_file(calibration, tmp_path_factory):
     path = tmp_path_factory.mktemp("cal") / "calibration.json"
-    calibration.save(path)
+    path.write_text(calibration.to_json())
     return path
 
 

@@ -15,11 +15,13 @@ from pathlib import Path
 import pytest
 
 import specroute
+from specroute import cli
 from specroute.cli import build_parser, main
 from specroute.core import PromptSpec, default_config, summary_to_dict
 from specroute.engine import run_video_detailed
 from specroute.sweep import random_arm, run_arms, target_only_arm
 from specroute.synthmodels import (
+    REFERENCE_TABLE,
     Calibration,
     build_synthetic_stack,
     fit_calibration,
@@ -113,6 +115,30 @@ class TestFit:
     def test_missing_table_file(self, tmp_path):
         code = main(["fit", "--table", str(tmp_path / "absent.json"), "--out", str(tmp_path / "c.json")])
         assert code == 4
+
+    def test_missing_bundled_table_is_named(self, tmp_path, capsys, monkeypatch):
+        absent = tmp_path / "reference_table.json"
+        monkeypatch.setattr(cli, "REFERENCE_TABLE", absent)
+        assert main(["fit", "--out", str(tmp_path / "c.json")]) == 4
+        assert capsys.readouterr().err == f"error: table file not found: {absent}\n"
+
+    def test_out_dash_writes_the_calibration_to_stdout(self, cal_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["fit", "--out", "-"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cal_path.read_text()
+        assert "latency fit" in captured.err and "quality-proxy fit" in captured.err
+        assert not (tmp_path / "-").exists()
+
+    def test_out_naming_the_bundled_table_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # The parser's default is a copy, so a broken rule cannot replace the installed table.
+        table = tmp_path / "reference_table.json"
+        table.write_bytes(REFERENCE_TABLE.read_bytes())
+        monkeypatch.setattr(cli, "REFERENCE_TABLE", table)
+        before = table.read_bytes()
+        assert main(["fit", "--out", str(table)]) == 2
+        assert capsys.readouterr().err == f"error: --out would overwrite the --table input {table}\n"
+        assert table.read_bytes() == before
 
     def test_refit_of_synthetic_table_reproduces_calibration(self, cal_path, tmp_path):
         cal = Calibration.load(cal_path)
@@ -639,6 +665,46 @@ class TestMalformedDocuments:
         assert capsys.readouterr().err == expected
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section,key,value,reason",
+        [("draft_quality", "quantile_knots", [[1.0, 0.5, 3.0]],
+          "'calibration.draft_quality.quantile_knots[0]' is not an array of 2"),
+         ("draft_quality", "quantile_knots", [[1.0]],
+          "'calibration.draft_quality.quantile_knots[0]' is not an array of 2"),
+         ("draft_quality", "quantile_knots", {"12": [1.0, 2.0]},
+          "'calibration.draft_quality.quantile_knots' is not an array"),
+         ("quality_proxy", "edges", {"k" * 100_000: 1.0},
+          "'calibration.quality_proxy.edges' is not an array"),
+         ("quality_proxy", "penalties", 0.5, "'calibration.quality_proxy.penalties' is not an array")],
+        ids=["three_element_knot", "one_element_knot", "knots_object", "edges_object_with_long_key",
+             "penalties_number"],
+    )
+    def test_calibration_of_the_wrong_shape_is_a_parse_error(
+        self, cal_path, tmp_path, capsys, section, key, value, reason
+    ):
+        doc = json.loads(cal_path.read_text())
+        doc[section][key] = value
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["simulate", "--calibration", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: cannot parse calibration file {path}: calibration file has the wrong shape: "
+            f"{reason}\n"
+        )
+        assert not out.exists()
+
+    def test_unknown_overlap_mode_message_is_bounded(self, cal_path, tmp_path, capsys):
+        doc = json.loads(cal_path.read_text())
+        doc["latency"]["overlap_mode"] = "m" * 100_000
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--calibration", str(path), "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid calibration file {path}: 'mmm")
+        assert err.endswith("mmm' is not a valid OverlapMode\n")
+        assert len(err) < 1024
+
 
 class TestSweep:
     def test_smoke_run_is_fast(self, cal_path, tmp_path):
@@ -690,20 +756,30 @@ class TestSweep:
         assert f"arm {arm} has zero simulated time" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_duplicate_thresholds_are_validation_error(self, cal_path, tmp_path, capsys):
+    def test_duplicate_thresholds_are_usage_error(self, tmp_path, capsys):
+        # Refused before the calibration is read: the named file does not exist.
         out = tmp_path / "s.csv"
-        assert main(["sweep", "--calibration", str(cal_path), "--n", "1",
-                     "--tau-list", "-0.7", "-0.7", "--out", str(out)]) == 4
-        assert "arm labels must be unique" in capsys.readouterr().err
+        assert main(["sweep", "--calibration", str(tmp_path / "absent.json"), "--n", "1",
+                     "--tau-list", "-0.7", "-0.7", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --tau-list repeats a threshold: ['threshold(tau=-0.7)']\n"
+        )
         assert not out.exists()
+
+    def test_zero_and_negative_zero_are_distinct_thresholds(self, cal_path, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--calibration", str(cal_path), "--n", "1", "--blocks", "2",
+                     "--tau-list", "0", "-0", "--out", str(out)]) == 0
+        labels = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert labels == ["target_only", "threshold(tau=0)", "threshold(tau=-0)", "draft_only"]
 
     def test_duplicate_threshold_message_names_only_the_repeats(self, cal_path, tmp_path, capsys):
         taus = [f"{-3 + i / 100:.2f}" for i in range(400)] + ["-0.70"]
         out = tmp_path / "s.csv"
         assert main(["sweep", "--calibration", str(cal_path), "--n", "1",
-                     "--tau-list", *taus, "--out", str(out)]) == 4
+                     "--tau-list", *taus, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "repeated: ['threshold(tau=-0.7)']" in err
+        assert err == "error: --tau-list repeats a threshold: ['threshold(tau=-0.7)']\n"
         # The CLI fuzz property's stderr bound.
         assert len(err.encode()) <= 4096
 

@@ -21,7 +21,6 @@ import math
 import os
 from concurrent.futures import Future
 from contextlib import redirect_stderr, redirect_stdout
-from importlib import resources
 from pathlib import Path
 from unittest import mock
 
@@ -31,15 +30,21 @@ from hypothesis import strategies as st
 
 from specroute import sweep
 from specroute.cli import main
+from specroute.synthmodels import REFERENCE_TABLE
 
 MAX_STDERR = 4096
 SMALL_COUNTS = ["1", "2", "3"]
 NUMBERS = ["0", "1", "-1", "3", "0.5", "-0.7", "1.5", "nan", "-nan", "inf", "-inf", "1e308",
            "1e999", "-1e999", "99999999999999999999", "-99999999999999999999"]
 GARBAGE = ["", "x", "é", "--", "0x10", "1_0", "\x00", "true"]
+# Outside values that an error message must not echo whole: each is longer
+# than the stderr bound.
+LONG_STRING = "s" * 5000
+LONG_KEY_OBJECT = {"k" * 5000: 1.0}
 # JSON values a calibration, table or trace leaf is replaced with.
 JSON_VALUES = [-1, 0, 1, 0.5, -0.7, 1e308, 5e307, -1e308, 1e-308, float("nan"), float("inf"),
-               10**30, 2**64, 10**400, "x", "", None, True, [], {}, [0.0]]
+               10**30, 2**64, 10**400, "x", "", None, True, [], {}, [0.0], LONG_STRING,
+               LONG_KEY_OBJECT]
 
 INPUTS = ["@cal", "@table", "@trace", "@valid_cal", "@missing", "@dir", ""]
 OUTPUTS = ["@out", "-", "@dir", "@missing_parent/o", ""]
@@ -185,8 +190,7 @@ def workdir(tmp_path_factory):
         assert main(["simulate", "--calibration", str(root / "valid_cal"), "--n", "2",
                      "--blocks", "3", "--out", str(root / "runs"),
                      "--export-trace", str(root / "valid_trace")]) == 0
-    table = resources.files("specroute.data").joinpath("reference_table.json").read_text()
-    (root / "valid_table").write_text(table)
+    (root / "valid_table").write_text(REFERENCE_TABLE.read_text())
     cwd = os.getcwd()
     os.chdir(root)
     yield root
@@ -290,6 +294,10 @@ UNTIMED_LONG_METHOD = [(("main", 0, "method"), LONG_NAME), (("main", 0, "time_s"
          files={**NO_EDITS, "table": EQUAL_TAU_ROWS})
 @example(argv=["fit", "--table", "@table", "--out", "@out"],
          files={**NO_EDITS, "table": UNTIMED_LONG_METHOD})
+@example(argv=["simulate", "--calibration", "@cal", "--n", "1", "--blocks", "1", "--out", "@out"],
+         files={**NO_EDITS, "cal": [(("latency", "overlap_mode"), LONG_STRING)]})
+@example(argv=["simulate", "--calibration", "@cal", "--n", "1", "--blocks", "1", "--out", "@out"],
+         files={**NO_EDITS, "cal": [(("quality_proxy", "edges"), LONG_KEY_OBJECT)]})
 def test_cli_never_crashes(workdir, argv, files):
     _write_inputs(workdir, files)
     outputs = [workdir / "out", workdir / "out_json"]

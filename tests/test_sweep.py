@@ -108,6 +108,11 @@ class TestRunSweep:
         )
         assert extended[:-1] == small_rows
 
+    def test_repeated_labels_are_refused(self, calibration):
+        arms = [target_only_arm(), threshold_arm(-0.7), mean_frame_arm(-0.7), threshold_arm(-0.7)]
+        with pytest.raises(ValueError, match=r"repeated: \['threshold\(tau=-0.7\)'\]"):
+            run_arms(arms, 1, 42, calibration)
+
     def test_jobs_do_not_change_results(self, calibration, small_rows):
         parallel = run_sweep(
             SweepSpec(thresholds=SMALL_TAUS, num_prompts=40, seed=11), calibration, jobs=2
@@ -142,6 +147,15 @@ class TestRunSweep:
         )
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_sweep_json_report_is_pinned(self, calibration, tmp_path):
+        cal, out = tmp_path / "cal.json", tmp_path / "sweep.json"
+        cal.write_text(calibration.to_json())
+        assert main(["sweep", "--calibration", str(cal), "--n", "3", "--seed", "42",
+                     "--out", str(tmp_path / "sweep.csv"), "--out-json", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a21cc70953257e91c4e39861062f48f2351a3194f90e6e5889eb2006d44ad8e5"
+        )
+
     @pytest.mark.parametrize(
         "flags,digest",
         [
@@ -153,14 +167,14 @@ class TestRunSweep:
     )
     def test_simulate_jsonl_is_pinned(self, calibration, tmp_path, flags, digest):
         cal, out = tmp_path / "cal.json", tmp_path / "runs.jsonl"
-        calibration.save(cal)
+        cal.write_text(calibration.to_json())
         assert main(["simulate", "--calibration", str(cal), "--n", "3", "--seed", "42",
                      "--out", str(out)] + flags) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_replay_json_of_an_exported_trace_is_pinned(self, calibration, tmp_path):
         cal, trace, out = tmp_path / "cal.json", tmp_path / "trace.jsonl", tmp_path / "replay.json"
-        calibration.save(cal)
+        cal.write_text(calibration.to_json())
         assert main(["simulate", "--calibration", str(cal), "--n", "3", "--seed", "42",
                      "--out", str(tmp_path / "runs.jsonl"), "--export-trace", str(trace)]) == 0
         assert main(["replay", "--trace", str(trace), "--tau", "-1.0",

@@ -322,7 +322,7 @@ PINNED_CALIBRATION_TEXT = """\
 class TestCalibrationBundle:
     def test_save_load_round_trip(self, calibration, tmp_path):
         path = tmp_path / "cal.json"
-        calibration.save(path)
+        path.write_text(calibration.to_json())
         loaded = Calibration.load(path)
         assert loaded.quantile == calibration.quantile
         assert loaded.latency == calibration.latency
