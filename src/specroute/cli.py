@@ -83,6 +83,19 @@ def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _bounded(message: str, limit: int = 500) -> str:
+    """An error message, cut to both its ends when a long argv value or path makes it long."""
+    keep = (limit - 3) // 2
+    return message if len(message) <= limit else message[:keep] + "..." + message[-keep:]
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser with a bounded usage error; add_subparsers makes its subparsers so."""
+
+    def error(self, message: str):
+        super().error(_bounded(message))
+
+
 def _unreadable(what: str, path, exc: OSError) -> CliFailure:
     """A missing or unreadable input file: a validation error naming the file."""
     if isinstance(exc, FileNotFoundError):
@@ -384,7 +397,7 @@ def _finite_float(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specroute",
         description="Block-level speculative routing simulator and analytics",
     )
@@ -464,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
         _refuse_overwrites(args)
         return args.func(args)
     except CliFailure as exc:
-        _info(f"error: {exc}")
+        _info(f"error: {_bounded(str(exc))}")
         return exc.code
     except BrokenPipeError:
         return 0

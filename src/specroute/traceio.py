@@ -21,19 +21,16 @@ Record format (one JSON object per line, unknown keys rejected):
     optional  producer_observed  "draft" | "target"
 
 Each rule is checked once, where the value enters. One checker holds the
-record rules, types and values alike, and both the parser and the
-ExternalTraceRecord constructor call it, so a record a pipeline builds
-serializes to a line the parser accepts and a refused one gets the
-parser's message. Types are compared exactly: true is not a number, and a
-string or numpy scalar is not one either. The checker returns the
-record's values in field order. Its leading test passes the common record
-(a str id, an int index >= 0, floats with a finite sum, float or absent
-times in range, a known producer) through at once; any other record goes
-through the ordered rules, so outcomes and messages are those of the
-rules. The parser checks only the UTF-8 and the keys itself, then builds
-each record, a named tuple, from the checker's values without running it
-again. `replay` builds each block's score vector and trace from the
-record's checked values with their plain constructors.
+record rules, types and values alike; the parser and the
+ExternalTraceRecord constructor both call it, so a record a pipeline
+builds serializes to a line the parser accepts and a refused one gets the
+parser's message. Types are compared exactly: true, a string or a numpy
+scalar is not a number. A leading test passes the common record at once;
+any other goes through the ordered rules, which give every outcome and
+message. The parser checks the UTF-8 and the keys itself and builds each
+record from the checker's values. `replay` routes each prompt's blocks
+through `engine.route_run`, the one routing rule, from the records'
+checked scores and times.
 
 `parse_trace` reads its input line by line but returns every record in
 one list, and `replay` groups that list by prompt before routing, so
@@ -45,14 +42,12 @@ with the exact bytes of `json.dumps(doc, indent=2, sort_keys=True)` and
 a final newline, so the document and its text are never held whole.
 
 `parse_trace` (and so `parse_trace_text` and `parse_trace_file`) and
-`replay` pause the process-wide cyclic garbage collector while they run.
-Records, score vectors, traces and run summaries hold no reference cycles,
-so a collection during these calls could free nothing, while over a 100k
+`replay` pause the cyclic garbage collector while they run and restore
+the caller's setting when they return or raise. What they build holds no
+reference cycles, so a collection could free nothing, while over a 100k
 record trace the collector would scan the growing heap hundreds of times.
-Each call restores the caller's setting when it returns or raises, and
-reference counting frees everything else as usual; cyclic garbage made by
-a caller's line iterable or `quality_fn` waits for the next collection
-after the call.
+Cyclic garbage made by a caller's line iterable or `quality_fn` waits for
+the next collection after the call.
 """
 
 from __future__ import annotations
@@ -79,7 +74,7 @@ from .core import (
     all_finite,
 )
 from .costmodel import LatencyParams
-from .engine import summarize_run
+from .engine import Arm, route_run
 from .router import AggregationMode, ThresholdPolicy, aggregate
 
 __all__ = [
@@ -437,15 +432,6 @@ _block_index = attrgetter("block_index")
 _LISTED_BLOCKS = 10
 
 
-def _group_by_prompt(
-    records: Sequence[ExternalTraceRecord],
-) -> dict[str, list[ExternalTraceRecord]]:
-    groups: defaultdict[str, list[ExternalTraceRecord]] = defaultdict(list)
-    for r in records:
-        groups[r.prompt_id].append(r)
-    return groups
-
-
 def _check_contiguous(prompt_id: str, seen: list[int]) -> None:
     """Require sorted block indices to be 0..n-1, each once; O(n) in the number of records."""
     if seen == list(range(len(seen))):
@@ -507,85 +493,53 @@ def replay(
 ) -> list[ReplayedRun]:
     """Re-route recorded blocks at a counterfactual threshold.
 
-    Decisions come from the recorded frame scores; timings come from the
-    recorded values where present and from `latency` otherwise (an error
-    if a needed timing is missing and no params were given). Accept rate,
-    total time and quality come from `engine.summarize_run`, as for engine
-    runs; without `latency`, scoring counts as overlapped.
+    Each prompt's run goes through `engine.route_run` under the arm
+    ThresholdPolicy(tau, force_reject_block0), every block scored from its
+    recorded frame scores. Times are the recorded ones where present and
+    `latency`'s otherwise (an error if one is needed and no params were
+    given); without `latency`, scoring counts as overlapped.
 
     Pure over its inputs: two replays of the same records agree exactly.
     """
-    decide = ThresholdPolicy(tau=tau, force_reject_block0=force_reject_block0).decide
-    aggregate_scores = aggregate
-    # Records hold non-empty finite float scores and non-negative finite
-    # times, and so do latency params, so vectors and traces need no check.
+    arm = Arm(ThresholdPolicy(tau=tau, force_reject_block0=force_reject_block0), aggregation)
     # Every replayed block carries scores, so the model counts it as scored.
-    if latency is None:
-        modeled_accept = modeled_reject = None
-    else:
-        modeled_accept = latency.block_times(True, scored=True)
-        modeled_reject = latency.block_times(False, scored=True)
+    modeled = latency and (latency.block_times(False, True), latency.block_times(True, True))
+    groups: defaultdict[str, list[ExternalTraceRecord]] = defaultdict(list)
+    for r in records:
+        groups[r.prompt_id].append(r)
     runs = []
-    for prompt_id, group in _group_by_prompt(records).items():
+    for prompt_id, group in groups.items():
         if list(map(_block_index, group)) != list(range(len(group))):
             group.sort(key=_block_index)
             _check_contiguous(prompt_id, list(map(_block_index, group)))
-        traces: list[BlockTrace] = []
+        # Records hold non-empty finite float scores, so vectors need no check.
+        vectors = [FrameScoreVector(b, r.frame_scores) for b, r in enumerate(group)]
+        qs = [aggregate(v, aggregation) for v in vectors]
         provenance: list[str] = []
-        add_trace = traces.append
-        add_source = provenance.append
-        for b, record in enumerate(group):
-            scores = FrameScoreVector(b, record.frame_scores)
-            q = aggregate_scores(scores, aggregation)
-            decision = decide(b, q)
+
+        # route_run's times for this prompt: the recorded ones, the missing ones from
+        # modeled, the (rejected, accepted) modelled times; each call adds a provenance.
+        def times(b: int, accepted: bool, scored: bool, drafted: bool) -> tuple:
+            record = group[b]
             draft, decode, score = record.draft_time_s, record.decode_time_s, record.score_time_s
             # A recorded target time of 0 means the factual run accepted the block.
-            target = 0.0 if decision.accepted else record.target_time_s or None
-            if draft is None or decode is None or score is None or target is None:
-                draft, decode, score, target, source = _fill_times(
-                    prompt_id, b, decision.accepted, draft, decode, score, target,
-                    modeled_accept if decision.accepted else modeled_reject,
-                )
-                add_source(source)
-            else:
-                add_source(RECORDED)
-            add_trace(BlockTrace(b, decision, q, scores, draft, score, target, decode))
+            target = 0.0 if accepted else record.target_time_s or None
+            if (draft is not None and decode is not None and score is not None
+                    and target is not None):
+                provenance.append(RECORDED)
+                return draft, score, target, decode
+            if modeled is None:
+                raise _no_fallback(prompt_id, b, (draft, decode, score, target))
+            model = modeled[accepted]
+            missing = (draft is None) + (decode is None) + (score is None) + (target is None)
+            # An accepted block needs no target time, so three can be missing.
+            provenance.append(MODELED if missing == (3 if accepted else 4) else MIXED)
+            return (model[0] if draft is None else draft, model[1] if score is None else score,
+                    model[2] if target is None else target, model[3] if decode is None else decode)
 
-        summary = summarize_run(prompt_id, traces, latency, quality_fn)
+        summary = route_run(prompt_id, vectors, qs, arm, True, times, latency, quality_fn)
         runs.append(ReplayedRun(summary, tuple(provenance)))
     return runs
-
-
-def _fill_times(
-    prompt_id: str,
-    block_index: int,
-    accepted: bool,
-    draft: float | None,
-    decode: float | None,
-    score: float | None,
-    target: float | None,
-    modeled: tuple[float, float, float, float] | None,
-) -> tuple[float, float, float, float, str]:
-    """Fill a block's missing times from its modelled (draft, score, target, decode) times.
-
-    Returns the filled draft, decode, score and target times and their
-    provenance; with no model, names the first missing time.
-    """
-    if modeled is None:
-        raise _no_fallback(prompt_id, block_index, (draft, decode, score, target))
-    model_draft, model_score, model_target, model_decode = modeled
-    missing = (draft is None) + (decode is None) + (score is None) + (target is None)
-    # An accepted block needs no target time, so three can be missing.
-    needed = 3 if accepted else 4
-    if draft is None:
-        draft = model_draft
-    if decode is None:
-        decode = model_decode
-    if score is None:
-        score = model_score
-    if target is None:
-        target = model_target
-    return draft, decode, score, target, MODELED if missing == needed else MIXED
 
 
 # ---------------------------------------------------------------------------

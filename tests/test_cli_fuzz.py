@@ -41,13 +41,16 @@ GARBAGE = ["", "x", "é", "--", "0x10", "1_0", "\x00", "true"]
 # than the stderr bound.
 LONG_STRING = "s" * 5000
 LONG_KEY_OBJECT = {"k" * 5000: 1.0}
+# An argv token and a missing file's path of the same length.
+LONG_TOKEN = "t" * 5000
+LONG_MISSING = "@missing/" + "m" * 5000
 # JSON values a calibration, table or trace leaf is replaced with.
 JSON_VALUES = [-1, 0, 1, 0.5, -0.7, 1e308, 5e307, -1e308, 1e-308, float("nan"), float("inf"),
                10**30, 2**64, 10**400, "x", "", None, True, [], {}, [0.0], LONG_STRING,
                LONG_KEY_OBJECT]
 
-INPUTS = ["@cal", "@table", "@trace", "@valid_cal", "@missing", "@dir", ""]
-OUTPUTS = ["@out", "-", "@dir", "@missing_parent/o", ""]
+INPUTS = ["@cal", "@table", "@trace", "@valid_cal", "@missing", "@dir", "", LONG_MISSING]
+OUTPUTS = ["@out", "-", "@dir", "@missing_parent/o", "", LONG_MISSING]
 VALUE_POOLS = {
     "--n": SMALL_COUNTS + ["0", "-1", "nan", "x", "", "1.5", "-99999999999999999999"],
     "--blocks": SMALL_COUNTS + ["0", "-1", "inf", "x", ""],
@@ -91,7 +94,7 @@ def _flag_tokens(command: str):
 
 
 stray_tokens = st.one_of(
-    st.sampled_from(NUMBERS + GARBAGE),
+    st.sampled_from(NUMBERS + GARBAGE + [LONG_TOKEN, LONG_MISSING]),
     st.text(max_size=8).filter(lambda t: not t.startswith("-")),
 ).map(lambda t: [t])
 
@@ -298,6 +301,12 @@ UNTIMED_LONG_METHOD = [(("main", 0, "method"), LONG_NAME), (("main", 0, "time_s"
          files={**NO_EDITS, "cal": [(("latency", "overlap_mode"), LONG_STRING)]})
 @example(argv=["simulate", "--calibration", "@cal", "--n", "1", "--blocks", "1", "--out", "@out"],
          files={**NO_EDITS, "cal": [(("quality_proxy", "edges"), LONG_KEY_OBJECT)]})
+@example(argv=["sweep", "--calibration", "@cal", "--n", "1", "--blocks", "1", "--out", "@out",
+               "--tau-list", LONG_NAME], files=NO_EDITS)
+@example(argv=["simulate", "--calibration", "@cal", "--policy", LONG_NAME], files=NO_EDITS)
+@example(argv=[LONG_NAME], files=NO_EDITS)
+@example(argv=["simulate", "--calibration", "@missing/" + LONG_NAME], files=NO_EDITS)
+@example(argv=["replay", "--trace", "@missing/" + LONG_NAME, "--tau", "-0.7"], files=NO_EDITS)
 def test_cli_never_crashes(workdir, argv, files):
     _write_inputs(workdir, files)
     outputs = [workdir / "out", workdir / "out_json"]

@@ -21,11 +21,13 @@ from specroute.core import (
 from specroute.engine import (
     Arm,
     BlockExecutionError,
+    route_run,
     run_arms_detailed,
     run_video_detailed,
 )
 from specroute.router import (
     AggregationMode,
+    aggregate,
     AlwaysAcceptPolicy,
     AlwaysRejectPolicy,
     RandomPolicy,
@@ -363,10 +365,23 @@ class TestLockstepArms:
             config, prompt, *models, arms, cal.latency, cal.proxy.run_quality
         )
         drafted = solo(Arm(AlwaysAcceptPolicy()))
+        # The scores the synthetic drafter embeds, so the kernel routes what the engine scored.
+        vectors = [
+            cal.quantile.sample_block_score(prompt.prompt_id, b, pixel_frame_count(config, b))
+            for b in range(num_blocks)
+        ]
         assert len(lanes) == len(arms)
         for i, (description, lane) in enumerate(zip(descriptions, lanes)):
             alone = solo(make_arm(description, i))
             assert lane.summary == alone.summary
+            arm = make_arm(description, i)
+            qs = [aggregate(v, arm.aggregation) for v in vectors]
+            kernel = route_run(
+                prompt.prompt_id, vectors, qs, arm, score_forced,
+                lambda b, *flags: cal.latency.block_times(*flags), cal.latency,
+                cal.proxy.run_quality,
+            )
+            assert kernel == lane.summary
             assert len(lane.emitted_frames) == len(alone.emitted_frames) == num_blocks
             for mine, theirs in zip(lane.emitted_frames, alone.emitted_frames):
                 assert len(mine.frames) == len(theirs.frames)
@@ -379,6 +394,25 @@ class TestLockstepArms:
             assert lanes[0].drafter_kv.digests() == drafted.drafter_kv.digests()
         else:
             assert len(lanes[0].drafter_kv) == 0
+
+    @pytest.mark.parametrize("policy, message", [
+        (AlwaysAcceptPolicy(), "draft_enabled=False requires a policy that rejects every block"),
+        (ThresholdPolicy(), "threshold policy needs a score for block 1"),
+    ])
+    def test_an_arm_that_does_not_draft_must_reject(
+        self, stack, calibration, config, policy, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            run(stack, calibration, config, policy, draft_enabled=False)
+        vectors = [calibration.quantile.sample_block_score("p0", b, pixel_frame_count(config, b))
+                   for b in range(config.num_blocks)]
+        qs = [aggregate(v, AggregationMode.MIN_FRAME) for v in vectors]
+        with pytest.raises(ValueError, match=message):
+            route_run(
+                "p0", vectors, qs, Arm(policy, draft_enabled=False), False,
+                lambda b, *flags: calibration.latency.block_times(*flags), calibration.latency,
+                None,
+            )
 
     def test_drafter_runs_once_per_block(self, stack, calibration, config):
         calls = []
