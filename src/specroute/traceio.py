@@ -507,13 +507,15 @@ def replay(
     groups: defaultdict[str, list[ExternalTraceRecord]] = defaultdict(list)
     for r in records:
         groups[r.prompt_id].append(r)
+    new_vector = tuple.__new__
     runs = []
     for prompt_id, group in groups.items():
         if list(map(_block_index, group)) != list(range(len(group))):
             group.sort(key=_block_index)
             _check_contiguous(prompt_id, list(map(_block_index, group)))
-        # Records hold non-empty finite float scores, so vectors need no check.
-        vectors = [FrameScoreVector(b, r.frame_scores) for b, r in enumerate(group)]
+        # Records hold non-empty finite float scores, so vectors need no check;
+        # tuple.__new__ builds each one without the named tuple's Python-level __new__.
+        vectors = [new_vector(FrameScoreVector, (b, r.frame_scores)) for b, r in enumerate(group)]
         qs = [aggregate(v, aggregation) for v in vectors]
         provenance: list[str] = []
 
