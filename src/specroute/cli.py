@@ -84,7 +84,7 @@ def _info(msg: str) -> None:
 
 
 def _bounded(message: str, limit: int = 500) -> str:
-    """An error message, cut to both its ends when a long argv value or path makes it long."""
+    """A message, cut to both its ends when a long argv value, path or prompt id makes it long."""
     keep = (limit - 3) // 2
     return message if len(message) <= limit else message[:keep] + "..." + message[-keep:]
 
@@ -356,10 +356,10 @@ def cmd_replay(args) -> int:
         write_replay_report(write, runs, args.tau, args.aggregation)
     for r in runs:
         s = r.summary
-        _info(
+        _info(_bounded(
             f"{s.prompt_id}: accept {s.accept_rate_excl_block0:.3f}, "
             f"time {s.total_time_s:.2f}s over {len(s.block_traces)} blocks"
-        )
+        ))
     return 0
 
 

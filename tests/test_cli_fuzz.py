@@ -307,6 +307,9 @@ UNTIMED_LONG_METHOD = [(("main", 0, "method"), LONG_NAME), (("main", 0, "time_s"
 @example(argv=[LONG_NAME], files=NO_EDITS)
 @example(argv=["simulate", "--calibration", "@missing/" + LONG_NAME], files=NO_EDITS)
 @example(argv=["replay", "--trace", "@missing/" + LONG_NAME, "--tau", "-0.7"], files=NO_EDITS)
+@example(argv=["replay", "--trace", "@trace", "--tau", "-1", "--calibration", "@valid_cal",
+               "--out", "@out"],
+         files={**NO_EDITS, "trace": UNTIMED_TRACE})
 def test_cli_never_crashes(workdir, argv, files):
     _write_inputs(workdir, files)
     outputs = [workdir / "out", workdir / "out_json"]

@@ -27,11 +27,11 @@ from specroute.engine import (
 )
 from specroute.router import (
     AggregationMode,
-    aggregate,
     AlwaysAcceptPolicy,
     AlwaysRejectPolicy,
     RandomPolicy,
     ThresholdPolicy,
+    aggregate,
 )
 from specroute.synthmodels import SyntheticScorer, build_synthetic_stack
 
