@@ -519,8 +519,8 @@ def replay(
         qs = [aggregate(v, aggregation) for v in vectors]
         provenance: list[str] = []
 
-        # route_run's times for this prompt: the recorded ones, the missing ones from
-        # modeled, the (rejected, accepted) modelled times; each call adds a provenance.
+        # route_run's times source for this prompt: the recorded times, a missing one
+        # taken from modeled[accepted]; each call records the block's provenance.
         def times(b: int, accepted: bool, scored: bool, drafted: bool) -> tuple:
             record = group[b]
             draft, decode, score = record.draft_time_s, record.decode_time_s, record.score_time_s
