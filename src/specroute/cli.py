@@ -69,6 +69,8 @@ EXIT_CALIBRATION = 5
 CALIBRATION_ENV = "SPECROUTE_CALIBRATION"
 
 DEFAULT_SWEEP_TAUS = (-0.7, -0.8, -0.9, -1.0, -1.5, -2.0, -2.5)
+# Characters of an error message; a longer one keeps its two ends.
+_MESSAGE_LIMIT = 500
 
 
 class CliFailure(Exception):
@@ -83,10 +85,10 @@ def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _bounded(message: str, limit: int = 500) -> str:
+def _bounded(message: str) -> str:
     """A message, cut to both its ends when a long argv value, path or prompt id makes it long."""
-    keep = (limit - 3) // 2
-    return message if len(message) <= limit else message[:keep] + "..." + message[-keep:]
+    keep = (_MESSAGE_LIMIT - 3) // 2
+    return message if len(message) <= _MESSAGE_LIMIT else message[:keep] + "..." + message[-keep:]
 
 
 class _Parser(argparse.ArgumentParser):

@@ -1,41 +1,50 @@
-"""The per-block inference loop, and the one rule that routes every block.
+"""The per-block inference loop: draft, decode, score, route, commit or regenerate.
 
-One rule (_route_block) decides a block under an arm: a drafted block is
-scored unless its policy forces it out and score_forced_rejections is off,
-the policy decides on the block score q, a times source gives the block's
-simulated seconds, and the rule builds the BlockTrace. An undrafted block
-is never scored, and its policy must reject it. route_run applies the rule
-to a run's scores with no models (replay calls it; see its limit), and the
-engine to each arm's block as the models produce it. Both account the run
-with summarize_run.
-
-The engine walks the blocks of one video in order. Each block is drafted
-from its noise seed and committed to the drafter KV cache unconditionally,
-so the drafter conditions only on its own outputs. The draft is decoded
-(after snapshotting the decoder state) and scored; an accepted draft is
-committed to the target KV cache and its frames emitted, while a rejection
-restores the decoder state and has the target regenerate the block from
+One run walks the blocks of a single video in order. For each block the
+drafter proposes a candidate from the block's noise seed and the drafter
+KV cache is committed unconditionally, so the drafter always conditions
+on its own prior outputs regardless of routing. The candidate is decoded
+(after snapshotting the decoder cache) and scored; the policy then either
+accepts the draft into the target KV cache and emits its frames, or
+restores the decoder cache and has the target regenerate the block from
 the same noise seed.
 
-run_arms_detailed routes one prompt under several arms in lockstep, and
-one draft serves them all. A lane is the set of arms whose verdict
-histories match so far; it holds one target KV cache, one decoder state
-and one list of emitted frames. Per lane and block the draft is decoded
-once, and scored and aggregated per mode at most once, when an arm's rule
-first reads the score. The rejecting arms restore the decoder snapshot and
-have the target regenerate once; when other arms accept, the rejecting
-ones fork into a new lane with a KVCache.fork() and their own decoder state.
+One draft serves every arm. run_arms_detailed routes one prompt under
+several arms (policy, aggregation, drafting) in lockstep: each block is
+drafted and committed to the drafter KV cache once. The arms walk the
+blocks in lanes: a lane is the set of arms whose verdict histories match
+so far, and it holds one target KV cache, one decoder state and one list
+of emitted frames. All arms start in one lane. Per lane and block the
+draft is decoded once, scored once (only if some arm needs scores) and
+aggregated once per aggregation mode; every arm's own policy decides.
+The accepting arms commit the draft; the rejecting arms, target-only arms
+among them, restore the decoder snapshot and have the target regenerate
+and commit once. When both sides are non-empty the rejecting side forks
+into a new lane with a KVCache.fork() and its own restored decoder state.
 
-This is sound because generators, decoders and scorers are deterministic
-and the drafter never conditions on routing: arms with equal verdict
-histories hold equal caches, decoder states and frames, so each arm run
-alone computes what its lane computes. Blocks of one video run in order;
-runs over different prompts share no mutable state.
+This is sound because GeneratorInterface, DecoderInterface and
+ScorerInterface implementations are deterministic and the drafter
+conditions only on its own cache, never on routing: arms with equal
+verdict histories hold equal caches, decoder states and frames, so each
+arm run alone would compute exactly what its lane computes. For a real
+stack, one drafter pass serves every arm, and one decode, reward pass and
+regeneration serve every arm in a lane.
+
+Runs are strictly sequential within a video (block b+1 depends on block
+b's decision). Runs over different prompts share no mutable state and may
+execute in parallel.
+
+One rule (_route_block) routes a block under an arm, in the engine and in
+route_run alike: whether the block is scored, the policy's decision, the
+check that an undrafted block is rejected, its times and its BlockTrace.
+route_run applies it to a run's recorded or sampled scores with no
+models; its docstring states where that is exact.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice
 from operator import attrgetter
@@ -71,8 +80,8 @@ __all__ = [
 ]
 
 QualityFn = Callable[[Sequence[BlockTrace]], float]
-# (block index, accepted, scored, drafted) -> (draft, score, target, decode) seconds
-TimesFn = Callable[[int, bool, bool, bool], tuple[float, float, float, float]]
+# As LatencyParams.block_times: (accepted, scored, drafted) -> (draft, score, target, decode)
+TimesFn = Callable[[bool, bool, bool], tuple[float, float, float, float]]
 
 
 class GeneratorInterface(ABC):
@@ -189,10 +198,6 @@ def run_arms_detailed(
         raise ValueError("draft_enabled runs need a scorer")
 
     drafter_kv = KVCache(CacheOwner.DRAFTER)
-
-    def times(b: int, accepted: bool, scored: bool, drafted: bool) -> tuple:
-        return latency.block_times(accepted, scored, drafted)
-
     traces: list[list[BlockTrace]] = [[] for _ in arms]
     lanes = [_Lane(list(range(len(arms))), KVCache(CacheOwner.TARGET), decoder.fresh_state(), [])]
     draft = None
@@ -205,7 +210,7 @@ def run_arms_detailed(
         expected = pixel_frame_count(config, b)
         for lane in list(lanes):
             forked = _run_lane_block(
-                config, prompt, target, decoder, scorer, arms, times, traces,
+                config, prompt, target, decoder, scorer, arms, latency, traces,
                 lane, b, nseed, draft, expected,
             )
             if forked is not None:
@@ -259,9 +264,10 @@ def route_run(
     """Route one run of len(vectors) blocks by the one rule, from their scores alone.
 
     vectors[b] is block b's draft scores and qs[b] their aggregate under
-    arm.aggregation, read only for scored blocks; times(b, accepted,
-    scored, drafted) gives a block's (draft, score, target, decode)
-    seconds. arm.policy decides as given, so a random policy must be the
+    arm.aggregation, read only for scored blocks. times(accepted, scored,
+    drafted) gives a block's (draft, score, target, decode) seconds, as
+    LatencyParams.block_times does; it is called once per block, in block
+    order. arm.policy decides as given, so a random policy must be the
     run's own copy (Policy.for_run).
 
     Limit: exact for any stack whose scores do not depend on routing, such
@@ -292,7 +298,7 @@ def _route_block(
     if accepted and not drafted:
         raise ValueError("draft_enabled=False requires a policy that rejects every block")
     return BlockTrace(
-        b, decision, q, vectors[b] if scored else None, *times(b, accepted, scored, drafted)
+        b, decision, q, vectors[b] if scored else None, *times(accepted, scored, drafted)
     )
 
 
@@ -328,24 +334,29 @@ class _Lane:
 
 
 def _run_lane_block(
-    config, prompt, target, decoder, scorer, arms, times, traces,
+    config, prompt, target, decoder, scorer, arms, latency, traces,
     lane, b, nseed, draft, expected,
 ) -> _Lane | None:
     """Route block b for one lane; returns the lane its rejecting arms fork into, if any."""
-    snapshot = None
+    snapshot = vectors = None
+    q_by_mode: dict[AggregationMode, defaultdict] = {}
     if any(arms[k].draft_enabled for k in lane.arms):
         snapshot = decode_snapshot(lane.state)
         draft_frames = _guard(b, "decode", decoder.decode, draft, lane.state)
-    # Scored once, and q taken once per mode, the first time an arm's rule reads them.
-    vectors = _Memo(lambda b: checked_scores(
-        b, [_guard(b, "scorer", scorer.score, frame, prompt) for frame in draft_frames.frames]
-    ))
-    q_by_mode = _Memo(lambda mode: _Memo(lambda b: aggregate(vectors[b], mode)))
+        # The draft is scored, and q taken per mode, once, when a rule first reads them.
+        # Only index b is read, so a defaultdict's factory, which takes no key, serves.
+        vectors = defaultdict(lambda: checked_scores(
+            b, [_guard(b, "scorer", scorer.score, frame, prompt) for frame in draft_frames.frames]
+        ))
     score_forced = config.score_forced_rejections
     accepting, rejecting = [], []
     for k in lane.arms:
         arm = arms[k]
-        trace = _route_block(b, arm, score_forced, vectors, q_by_mode[arm.aggregation], times)
+        mode = arm.aggregation
+        qs = q_by_mode.get(mode)
+        if qs is None:
+            qs = q_by_mode[mode] = defaultdict(lambda mode=mode: aggregate(vectors[b], mode))
+        trace = _route_block(b, arm, score_forced, vectors, qs, latency.block_times)
         traces[k].append(trace)
         (accepting if trace.decision.accepted else rejecting).append(k)
 
@@ -364,17 +375,6 @@ def _run_lane_block(
         rejected.target_kv.commit(regen)
         _emit(rejected, _guard(b, "decode", decoder.decode, regen, rejected.state), b, expected)
     return rejected if rejected is not lane else None
-
-
-class _Memo(dict):
-    """A mapping that computes a missing value once, as make(key)."""
-
-    def __init__(self, make: Callable) -> None:
-        self.make = make
-
-    def __missing__(self, key):
-        self[key] = value = self.make(key)
-        return value
 
 
 def _emit(lane: _Lane, frames: DecodedFrames, b: int, expected: int) -> None:

@@ -21,16 +21,20 @@ Record format (one JSON object per line, unknown keys rejected):
     optional  producer_observed  "draft" | "target"
 
 Each rule is checked once, where the value enters. One checker holds the
-record rules, types and values alike; the parser and the
-ExternalTraceRecord constructor both call it, so a record a pipeline
-builds serializes to a line the parser accepts and a refused one gets the
-parser's message. Types are compared exactly: true, a string or a numpy
-scalar is not a number. A leading test passes the common record at once;
-any other goes through the ordered rules, which give every outcome and
-message. The parser checks the UTF-8 and the keys itself and builds each
-record from the checker's values. `replay` routes each prompt's blocks
-through `engine.route_run`, the one routing rule, from the records'
-checked scores and times.
+record rules, types and values alike, and both the parser and the
+ExternalTraceRecord constructor call it, so a record a pipeline builds
+serializes to a line the parser accepts and a refused one gets the
+parser's message. Types are compared exactly: true is not a number, and a
+string or numpy scalar is not one either. The checker returns the
+record's values in field order. Its leading test passes the common record
+(a str id, an int index >= 0, floats with a finite sum, float or absent
+times in range, a known producer) through at once; any other record goes
+through the ordered rules, so outcomes and messages are those of the
+rules. The parser checks only the UTF-8 and the keys itself, then builds
+each record, a named tuple, from the checker's values without running it
+again. `replay` builds each block's score vector from the record's
+checked values with its plain constructor and routes each prompt's blocks
+through `engine.route_run`, the one routing rule.
 
 `parse_trace` reads its input line by line but returns every record in
 one list, and `replay` groups that list by prompt before routing, so
@@ -42,12 +46,14 @@ with the exact bytes of `json.dumps(doc, indent=2, sort_keys=True)` and
 a final newline, so the document and its text are never held whole.
 
 `parse_trace` (and so `parse_trace_text` and `parse_trace_file`) and
-`replay` pause the cyclic garbage collector while they run and restore
-the caller's setting when they return or raise. What they build holds no
-reference cycles, so a collection could free nothing, while over a 100k
+`replay` pause the process-wide cyclic garbage collector while they run.
+Records, score vectors, traces and run summaries hold no reference cycles,
+so a collection during these calls could free nothing, while over a 100k
 record trace the collector would scan the growing heap hundreds of times.
-Cyclic garbage made by a caller's line iterable or `quality_fn` waits for
-the next collection after the call.
+Each call restores the caller's setting when it returns or raises, and
+reference counting frees everything else as usual; cyclic garbage made by
+a caller's line iterable or `quality_fn` waits for the next collection
+after the call.
 """
 
 from __future__ import annotations
@@ -516,13 +522,19 @@ def replay(
         # Records hold non-empty finite float scores, so vectors need no check;
         # tuple.__new__ builds each one without the named tuple's Python-level __new__.
         vectors = [new_vector(FrameScoreVector, (b, r.frame_scores)) for b, r in enumerate(group)]
-        qs = [aggregate(v, aggregation) for v in vectors]
+        try:
+            qs = [aggregate(v, aggregation) for v in vectors]
+        except ValueError:
+            # A mean overflows: take each q as its block is routed, so that a
+            # missing time in an earlier block is still the fault reported.
+            qs = _RoutedAggregates(vectors, aggregation)
         provenance: list[str] = []
+        blocks = iter(group)
 
-        # route_run's times source for this prompt: the recorded times, a missing one
-        # taken from modeled[accepted]; each call records the block's provenance.
-        def times(b: int, accepted: bool, scored: bool, drafted: bool) -> tuple:
-            record = group[b]
+        # route_run's times source for this prompt, called once per block in block order:
+        # the recorded times, a missing one taken from modeled[accepted], and the provenance.
+        def times(accepted: bool, scored: bool, drafted: bool) -> tuple:
+            record = next(blocks)
             draft, decode, score = record.draft_time_s, record.decode_time_s, record.score_time_s
             # A recorded target time of 0 means the factual run accepted the block.
             target = 0.0 if accepted else record.target_time_s or None
@@ -531,7 +543,7 @@ def replay(
                 provenance.append(RECORDED)
                 return draft, score, target, decode
             if modeled is None:
-                raise _no_fallback(prompt_id, b, (draft, decode, score, target))
+                raise _no_fallback(prompt_id, record.block_index, (draft, decode, score, target))
             model = modeled[accepted]
             missing = (draft is None) + (decode is None) + (score is None) + (target is None)
             # An accepted block needs no target time, so three can be missing.
@@ -542,6 +554,16 @@ def replay(
         summary = route_run(prompt_id, vectors, qs, arm, True, times, latency, quality_fn)
         runs.append(ReplayedRun(summary, tuple(provenance)))
     return runs
+
+
+class _RoutedAggregates:
+    """Each block's q under one mode, taken when the routing rule reads it."""
+
+    def __init__(self, vectors: Sequence[FrameScoreVector], mode: AggregationMode) -> None:
+        self.vectors, self.mode = vectors, mode
+
+    def __getitem__(self, b: int) -> float:
+        return aggregate(self.vectors[b], self.mode)
 
 
 # ---------------------------------------------------------------------------

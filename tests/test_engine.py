@@ -378,8 +378,7 @@ class TestLockstepArms:
             qs = [aggregate(v, arm.aggregation) for v in vectors]
             kernel = route_run(
                 prompt.prompt_id, vectors, qs, arm, score_forced,
-                lambda b, *flags: cal.latency.block_times(*flags), cal.latency,
-                cal.proxy.run_quality,
+                cal.latency.block_times, cal.latency, cal.proxy.run_quality,
             )
             assert kernel == lane.summary
             assert len(lane.emitted_frames) == len(alone.emitted_frames) == num_blocks
@@ -410,8 +409,7 @@ class TestLockstepArms:
         with pytest.raises(ValueError, match=message):
             route_run(
                 "p0", vectors, qs, Arm(policy, draft_enabled=False), False,
-                lambda b, *flags: calibration.latency.block_times(*flags), calibration.latency,
-                None,
+                calibration.latency.block_times, calibration.latency, None,
             )
 
     def test_drafter_runs_once_per_block(self, stack, calibration, config):

@@ -756,6 +756,16 @@ class TestReplay:
         with pytest.raises(TraceFormatError, match="no recorded"):
             replay(records, tau=-0.7)
 
+    def test_faults_are_reported_in_block_order(self):
+        # Block 0 has no times and there are no latency params; block 1's mean overflows.
+        scores = [(0.5,), (1e308, 1e308)]
+        untimed = make_records(num_blocks=2, scores=scores, with_times=False)
+        with pytest.raises(TraceFormatError, match="block 0: no recorded c_draft"):
+            replay(untimed, tau=-0.7, aggregation=AggregationMode.MEAN_FRAME)
+        timed = make_records(num_blocks=2, scores=scores)
+        with pytest.raises(ValueError, match="mean frame score of block 1 overflows a float"):
+            replay(timed, tau=-0.7, aggregation=AggregationMode.MEAN_FRAME)
+
     def test_multi_prompt_replay(self):
         records = make_records("a", 3) + make_records("b", 3)
         runs = replay(records, tau=float("-inf"))
