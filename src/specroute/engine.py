@@ -37,8 +37,8 @@ execute in parallel.
 One rule (_route_block) routes a block under an arm, in the engine and in
 route_run alike: whether the block is scored, the policy's decision, the
 check that an undrafted block is rejected, its times and its BlockTrace.
-route_run applies it to a run's recorded or sampled scores with no
-models; its docstring states where that is exact.
+route_run applies it to a run's scores with no models: exact only where
+scores do not depend on routing, so real stacks run through the engine.
 """
 
 from __future__ import annotations
