@@ -15,8 +15,8 @@ drafted and committed to the drafter KV cache once. The arms walk the
 blocks in lanes: a lane is the set of arms whose verdict histories match
 so far, and it holds one target KV cache, one decoder state and one list
 of emitted frames. All arms start in one lane. Per lane and block the
-draft is decoded once, scored once (only if some arm needs scores) and
-aggregated once per aggregation mode; every arm's own policy decides.
+draft is decoded once and scored once (only if some arm needs scores);
+each arm's rule aggregates the scores and its own policy decides.
 The accepting arms commit the draft; the rejecting arms, target-only arms
 among them, restore the decoder snapshot and have the target regenerate
 and commit once. When both sides are non-empty the rejecting side forks
@@ -35,8 +35,9 @@ b's decision). Runs over different prompts share no mutable state and may
 execute in parallel.
 
 One rule (_route_block) routes a block under an arm, in the engine and in
-route_run alike: whether the block is scored, the policy's decision, the
-check that an undrafted block is rejected, its times and its BlockTrace.
+route_run alike: whether the block is scored, its aggregate score, the
+policy's decision, the check that an undrafted block is rejected, its
+times and its BlockTrace.
 route_run applies it to a run's scores with no models: exact only where
 scores do not depend on routing, so real stacks run through the engine.
 """
@@ -257,14 +258,14 @@ def summarize_run(
 
 
 def route_run(
-    prompt_id: str, vectors: Sequence[FrameScoreVector], qs: Sequence[float], arm: Arm,
+    prompt_id: str, vectors: Sequence[FrameScoreVector], arm: Arm,
     score_forced_rejections: bool, times: TimesFn, latency: LatencyParams | None,
     quality_fn: QualityFn | None,
 ) -> RunSummary:
     """Route one run of len(vectors) blocks by the one rule, from their scores alone.
 
-    vectors[b] is block b's draft scores and qs[b] their aggregate under
-    arm.aggregation, read only for scored blocks. times(accepted, scored,
+    vectors[b] is block b's draft scores, read (and aggregated under
+    arm.aggregation) only for scored blocks. times(accepted, scored,
     drafted) gives a block's (draft, score, target, decode) seconds, as
     LatencyParams.block_times does; it is called once per block, in block
     order. arm.policy decides as given, so a random policy must be the
@@ -275,31 +276,30 @@ def route_run(
     run_arms_detailed. A real stack decodes each draft through decoder
     state that routing changes, so it runs through run_arms_detailed.
     """
-    traces = [_route_block(b, arm, score_forced_rejections, vectors, qs, times)
+    traces = [_route_block(b, arm, score_forced_rejections, vectors, times)
               for b in range(len(vectors))]
     return summarize_run(prompt_id, traces, latency, quality_fn)
 
 
 def _route_block(
-    b: int, arm: Arm, score_forced: bool, vectors: Sequence[FrameScoreVector],
-    qs: Sequence[float], times: TimesFn,
+    b: int, arm: Arm, score_forced: bool, vectors: Sequence[FrameScoreVector], times: TimesFn,
 ) -> BlockTrace:
     """The routing rule: block b's decision and trace under one arm.
 
     A drafted block is scored unless its policy forces it out and
-    score_forced is off; vectors[b] and qs[b] are read only then. A block
-    that is not drafted is never scored, and its policy must reject it.
+    score_forced is off; only then is vectors[b] read, and its aggregate
+    under arm.aggregation is the q the policy decides on. A block that is
+    not drafted is never scored, and its policy must reject it.
     """
     policy, drafted = arm.policy, arm.draft_enabled
     scored = drafted and (score_forced or not policy.forces_rejection(b))
-    q = qs[b] if scored else None
+    vector = vectors[b] if scored else None
+    q = aggregate(vector, arm.aggregation) if scored else None
     decision = policy.decide(b, q)
     accepted = decision.accepted
     if accepted and not drafted:
         raise ValueError("draft_enabled=False requires a policy that rejects every block")
-    return BlockTrace(
-        b, decision, q, vectors[b] if scored else None, *times(accepted, scored, drafted)
-    )
+    return BlockTrace(b, decision, q, vector, *times(accepted, scored, drafted))
 
 
 def run_video_detailed(
@@ -339,11 +339,10 @@ def _run_lane_block(
 ) -> _Lane | None:
     """Route block b for one lane; returns the lane its rejecting arms fork into, if any."""
     snapshot = vectors = None
-    q_by_mode: dict[AggregationMode, defaultdict] = {}
     if any(arms[k].draft_enabled for k in lane.arms):
         snapshot = decode_snapshot(lane.state)
         draft_frames = _guard(b, "decode", decoder.decode, draft, lane.state)
-        # The draft is scored, and q taken per mode, once, when a rule first reads them.
+        # The draft is scored once, when a rule first reads its scores.
         # Only index b is read, so a defaultdict's factory, which takes no key, serves.
         vectors = defaultdict(lambda: checked_scores(
             b, [_guard(b, "scorer", scorer.score, frame, prompt) for frame in draft_frames.frames]
@@ -351,12 +350,7 @@ def _run_lane_block(
     score_forced = config.score_forced_rejections
     accepting, rejecting = [], []
     for k in lane.arms:
-        arm = arms[k]
-        mode = arm.aggregation
-        qs = q_by_mode.get(mode)
-        if qs is None:
-            qs = q_by_mode[mode] = defaultdict(lambda mode=mode: aggregate(vectors[b], mode))
-        trace = _route_block(b, arm, score_forced, vectors, qs, latency.block_times)
+        trace = _route_block(b, arms[k], score_forced, vectors, latency.block_times)
         traces[k].append(trace)
         (accepting if trace.decision.accepted else rejecting).append(k)
 

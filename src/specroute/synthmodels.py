@@ -487,8 +487,9 @@ def load_reference_table(path: str | Path = REFERENCE_TABLE) -> ReferenceTable:
     """Load the bundled (or an external) reference measurement table.
 
     Rows are objects in the arrays "main" and (optionally) "ablation";
-    each has a string "method" and JSON numbers or nulls for the rest.
-    Invalid UTF-8 or JSON, a wrong shape or a row value that is not a
+    each has a "method" its section allows (_TABLE_METHODS) and JSON
+    numbers or nulls for the rest. Invalid UTF-8 or JSON, a wrong shape,
+    a method the section does not allow or a row value that is not a
     finite number raises CalibrationError.
     """
     text = _read_utf8(Path(path), "reference table")
@@ -502,11 +503,30 @@ def load_reference_table(path: str | Path = REFERENCE_TABLE) -> ReferenceTable:
         raise CalibrationError(f"reference table has the wrong shape: {exc}") from exc
 
 
+# The methods each table section may hold. fit_calibration reads every main
+# row but the two baselines as a threshold row, so another method there would
+# change the fit without a word.
+_TABLE_METHODS = {
+    "main": (TARGET_ONLY, "threshold", DRAFT_ONLY),
+    "ablation": ("avg_frame", "random", "force_reject_random"),
+}
+
+
 def _table_sections(doc) -> dict:
-    """The table's row arrays; each row value but "method" is a finite number or null."""
+    """The table's row arrays; each method is one its section allows, each other value a number."""
     if not isinstance(doc, dict) or "main" not in doc:
         raise CalibrationError("reference table missing 'main' section")
     sections = {"main": doc["main"], "ablation": doc.get("ablation", [])}
+    for name, rows in sections.items():
+        if not isinstance(rows, list):
+            raise CalibrationError(f"'table.{name}' is not an array")
+        for i, row in enumerate(rows):
+            method = row.get("method") if isinstance(row, dict) else None
+            if method is not None and method not in _TABLE_METHODS[name]:
+                raise CalibrationError(
+                    f"'table.{name}[{i}].method' is not one of "
+                    f"{', '.join(_TABLE_METHODS[name])}: {reprlib.repr(method)}"
+                )
     for where, value in _non_numbers(sections, "table"):
         if value is not None and not where.endswith(".method"):
             raise CalibrationError(

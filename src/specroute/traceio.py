@@ -81,6 +81,7 @@ from .core import (
 )
 from .costmodel import LatencyParams
 from .engine import Arm, route_run
+# Unused here; kept because perfbench/spans.py wraps traceio.aggregate by name.
 from .router import AggregationMode, ThresholdPolicy, aggregate
 
 __all__ = [
@@ -522,12 +523,6 @@ def replay(
         # Records hold non-empty finite float scores, so vectors need no check;
         # tuple.__new__ builds each one without the named tuple's Python-level __new__.
         vectors = [new_vector(FrameScoreVector, (b, r.frame_scores)) for b, r in enumerate(group)]
-        try:
-            qs = [aggregate(v, aggregation) for v in vectors]
-        except ValueError:
-            # A mean overflows: take each q as its block is routed, so that a
-            # missing time in an earlier block is still the fault reported.
-            qs = _RoutedAggregates(vectors, aggregation)
         provenance: list[str] = []
         blocks = iter(group)
 
@@ -551,19 +546,9 @@ def replay(
             return (model[0] if draft is None else draft, model[1] if score is None else score,
                     model[2] if target is None else target, model[3] if decode is None else decode)
 
-        summary = route_run(prompt_id, vectors, qs, arm, True, times, latency, quality_fn)
+        summary = route_run(prompt_id, vectors, arm, True, times, latency, quality_fn)
         runs.append(ReplayedRun(summary, tuple(provenance)))
     return runs
-
-
-class _RoutedAggregates:
-    """Each block's q under one mode, taken when the routing rule reads it."""
-
-    def __init__(self, vectors: Sequence[FrameScoreVector], mode: AggregationMode) -> None:
-        self.vectors, self.mode = vectors, mode
-
-    def __getitem__(self, b: int) -> float:
-        return aggregate(self.vectors[b], self.mode)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,22 @@ HUGE_LATENCY = {"c_draft": 1e308, "c_target": 1e308}
 NON_FINITE = {"nan": "NaN", "infinity": "Infinity", "1e400": "1e400", "401_digits": "9" * 401}
 
 
+BUNDLED_TABLE = json.loads(REFERENCE_TABLE.read_text(encoding="utf-8"))
+
+
+def _bundled_table_with(section: str, rows) -> bytes:
+    """The bundled table as JSON bytes, with one section replaced by rows."""
+    return json.dumps({**BUNDLED_TABLE, section: rows}).encode()
+
+
+def _main_rows_with_method(method: str) -> list:
+    """The bundled main rows, the tau = -0.7 threshold row's method replaced."""
+    rows = [dict(row) for row in BUNDLED_TABLE["main"]]
+    assert rows[1]["tau"] == -0.7
+    rows[1]["method"] = method
+    return rows
+
+
 def _json_with_literal(doc, path, literal: str) -> str:
     """doc as JSON text, with the value at key path `path` written as `literal`."""
     parent = doc
@@ -86,9 +102,15 @@ class TestFit:
          b'{"main": [{"method": "target_only", "vr": "abc"}]}',
          b'{"main": [{"method": "target_only", "vr": ' + b"[" * 990 + b"]" * 990 + b"}]}",
          b'{"main": [{"method": "target_only", "' + b"k" * 100_000 + b'": "abc"}]}',
-         b'{"main": [{"method": "target_only", "vr": ' + b"9" * 5000 + b"}]}"],
+         b'{"main": [{"method": "target_only", "vr": ' + b"9" * 5000 + b"}]}",
+         b'{"main": {}}',
+         _bundled_table_with("ablation", {}),
+         _bundled_table_with("main", _main_rows_with_method("treshold")),
+         _bundled_table_with("main", _main_rows_with_method("random"))],
         ids=["invalid_utf8", "main_not_an_array", "row_not_an_object", "value_not_a_number",
-             "nested_too_deeply", "long_key", "integer_over_the_digit_limit"],
+             "nested_too_deeply", "long_key", "integer_over_the_digit_limit",
+             "main_an_object", "ablation_an_object", "misspelled_main_method",
+             "ablation_method_in_main"],
     )
     def test_malformed_table_is_a_parse_error(self, tmp_path, capsys, content):
         bad = tmp_path / "table.json"

@@ -375,9 +375,8 @@ class TestLockstepArms:
             alone = solo(make_arm(description, i))
             assert lane.summary == alone.summary
             arm = make_arm(description, i)
-            qs = [aggregate(v, arm.aggregation) for v in vectors]
             kernel = route_run(
-                prompt.prompt_id, vectors, qs, arm, score_forced,
+                prompt.prompt_id, vectors, arm, score_forced,
                 cal.latency.block_times, cal.latency, cal.proxy.run_quality,
             )
             assert kernel == lane.summary
@@ -405,10 +404,9 @@ class TestLockstepArms:
             run(stack, calibration, config, policy, draft_enabled=False)
         vectors = [calibration.quantile.sample_block_score("p0", b, pixel_frame_count(config, b))
                    for b in range(config.num_blocks)]
-        qs = [aggregate(v, AggregationMode.MIN_FRAME) for v in vectors]
         with pytest.raises(ValueError, match=message):
             route_run(
-                "p0", vectors, qs, Arm(policy, draft_enabled=False), False,
+                "p0", vectors, Arm(policy, draft_enabled=False), False,
                 calibration.latency.block_times, calibration.latency, None,
             )
 
