@@ -2,12 +2,12 @@
 
 The KV cache here is not attention state: it is an append-only log of the
 block payloads each model has committed, which is everything the routing
-algorithm observes. Committed payloads are immutable by construction, so
-a commit hashes only the block it appends and a video of B blocks costs
-O(B) digests; full verification runs on demand (see KVCache). The decoder
-cache is the temporal state of the causal frame decoder; it is cloned
-before a draft is scored and restored when the draft is rejected, so a
-rejected draft leaves no trace in emitted frames.
+algorithm observes. Committed payloads are immutable by construction,
+and a block is hashed once, when it is built (LatentBlock.digest), so a
+commit hashes nothing; full verification re-hashes on demand (see
+KVCache). The decoder cache is the temporal state of the causal frame
+decoder; it is cloned before a draft is scored and restored when the
+draft is rejected, so a rejected draft leaves no trace in emitted frames.
 """
 
 from __future__ import annotations
@@ -60,11 +60,12 @@ class KVCache:
     """Append-only commit log of generated blocks for one model.
 
     Entries are immutable once committed; indices are contiguous from 0.
-    A commit hashes only the block it appends: a LatentBlock's payload is a
-    read-only view over its own bytes, so re-hashing earlier entries on
-    every commit would cost O(B) per block and add no guarantee.
-    verify_integrity() re-hashes every entry against its recorded digest;
-    replay() calls it first, and the engine calls it once per run.
+    A commit records the digest its block took when it was built and
+    hashes nothing: a LatentBlock's payload is a read-only view over its
+    own bytes, so re-hashing on commit would add no guarantee.
+    verify_integrity() re-hashes entries against their recorded digests;
+    replay() calls it first, and the engine calls it once per run, with one
+    set shared by its caches so that each distinct entry is re-hashed once.
     """
 
     def __init__(self, owner: CacheOwner):
@@ -84,7 +85,7 @@ class KVCache:
                 f"{self.owner.value} cache expected block {len(self._entries)}, "
                 f"got {block.block_index}"
             )
-        entry = KVEntry(block.block_index, block.producer, block_digest(block), block)
+        entry = KVEntry(block.block_index, block.producer, block.digest, block)
         self._entries.append(entry)
         return entry
 
@@ -97,9 +98,18 @@ class KVCache:
         twin._entries = self._entries.copy()
         return twin
 
-    def verify_integrity(self) -> None:
-        """Re-hash every entry; raise IntegrityError on the first that differs."""
+    def verify_integrity(self, verified: set[int] | None = None) -> None:
+        """Re-hash every entry; raise IntegrityError on the first that differs.
+
+        With a set of entry ids, entries already in it are skipped and each
+        entry checked is added, so caches forked from one another check
+        their shared prefix once between them.
+        """
+        verified = set() if verified is None else verified
         for entry in self._entries:
+            if id(entry) in verified:
+                continue
+            verified.add(id(entry))
             if block_digest(entry.block) != entry.digest:
                 raise IntegrityError(
                     f"{self.owner.value} cache entry {entry.block_index} was mutated"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, NamedTuple
 
@@ -167,12 +167,18 @@ class LatentBlock:
     caller's array, and numpy refuses ``setflags(write=True)`` on a view of
     immutable memory, so a block's data, and hence its digest, cannot
     change after construction.
+
+    digest is block_digest(self), taken once here: it is the only place a
+    block is hashed, except for KVCache.verify_integrity's re-hash. Copies
+    and unpickled blocks are rebuilt through the constructor, so they get
+    a read-only payload and their own digest too.
     """
 
     block_index: int
     data: np.ndarray
     producer: Producer
     noise_seed: int
+    digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.data, dtype=np.float64)
@@ -180,6 +186,11 @@ class LatentBlock:
             raise ValueError(f"latent block {self.block_index} contains non-finite values")
         frozen = np.frombuffer(arr.tobytes(), dtype=np.float64).reshape(arr.shape)
         object.__setattr__(self, "data", frozen)
+        object.__setattr__(self, "digest", block_digest(self))
+
+    def __reduce__(self) -> tuple:
+        # copy, deepcopy and every pickle protocol rebuild through __init__.
+        return type(self), (self.block_index, self.data, self.producer, self.noise_seed)
 
 
 @dataclass(frozen=True)
@@ -314,11 +325,13 @@ def noise_seed_for_block(master_seed: int, prompt_id: str, block_index: int) -> 
 
 
 def block_digest(block: LatentBlock) -> str:
-    """Content digest of a latent block (index, producer, payload, seed)."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(f"{block.block_index}:{block.producer.value}:{block.noise_seed}:".encode())
-    h.update(str(block.data.shape).encode())
-    h.update(np.ascontiguousarray(block.data).tobytes())
+    """Content digest of a latent block (index, producer, payload, seed), hashed afresh.
+
+    LatentBlock.digest holds this value from construction on.
+    """
+    header = f"{block.block_index}:{block.producer.value}:{block.noise_seed}:{block.data.shape}"
+    h = hashlib.blake2b(header.encode(), digest_size=16)
+    h.update(np.ascontiguousarray(block.data))
     return h.hexdigest()
 
 

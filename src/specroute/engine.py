@@ -21,6 +21,9 @@ The accepting arms commit the draft; the rejecting arms, target-only arms
 among them, restore the decoder snapshot and have the target regenerate
 and commit once. When both sides are non-empty the rejecting side forks
 into a new lane with a KVCache.fork() and its own restored decoder state.
+A block is hashed once, when it is built (LatentBlock.digest); commits
+reuse that digest, and the end-of-run check re-hashes each distinct cache
+entry once, however many forked lanes share it.
 
 This is sound because GeneratorInterface, DecoderInterface and
 ScorerInterface implementations are deterministic and the drafter
@@ -185,8 +188,10 @@ def run_arms_detailed(
     shares the one drafter KVCache (empty when no arm drafts). Arms that
     end in one lane likewise share that lane's target KVCache and
     emitted-frames tuple. Each result equals that of the arm run alone.
-    Before returning, the drafter cache and every lane's target cache are
-    verified once against their recorded digests (IntegrityError if not).
+    Before returning, every distinct entry of the drafter cache and of the
+    lanes' target caches is re-hashed once against its recorded digest
+    (IntegrityError if not), so a block costs one hash when it is built,
+    none per commit and one per entry at the end.
     Arms must not share a stateful policy such as a RandomPolicy, whose
     draws would interleave.
     """
@@ -217,10 +222,12 @@ def run_arms_detailed(
             if forked is not None:
                 lanes.append(forked)
 
-    # Commits hash only the new block; every entry is checked once here.
-    drafter_kv.verify_integrity()
+    # Commits hash nothing; each distinct entry is re-hashed once here,
+    # however many forked lanes share it.
+    verified: set[int] = set()
+    drafter_kv.verify_integrity(verified)
     for lane in lanes:
-        lane.target_kv.verify_integrity()
+        lane.target_kv.verify_integrity(verified)
     results: list = [None] * len(arms)
     for lane in lanes:
         emitted = tuple(lane.emitted)

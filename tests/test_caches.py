@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, rule, run_state_machine_as_test
 
-from specroute import caches
+from specroute import caches, core
 from specroute.caches import (
     CacheOwner,
     ContiguityError,
@@ -27,8 +28,9 @@ from specroute.core import (
     block_digest,
     default_config,
 )
-from specroute.engine import run_video_detailed
+from specroute.engine import run_arms_detailed, run_video_detailed
 from specroute.router import AlwaysRejectPolicy, ThresholdPolicy
+from specroute.sweep import SweepSpec
 from specroute.synthmodels import SynthDecodeState, SyntheticDecoder, build_synthetic_stack
 
 
@@ -42,15 +44,25 @@ def forged(entry: KVEntry) -> KVEntry:
 
 
 def count_digests(monkeypatch):
-    """Count caches.block_digest calls from now on; returns a reader of the count."""
-    calls = []
+    """Record every block hash from now on; returns the list of (site, block) it fills.
 
-    def counting(block):
-        calls.append(block.block_index)
-        return block_digest(block)
+    A block is hashed at two sites: "built" when LatentBlock is constructed
+    (through core.block_digest), and "cache" when a KVCache re-hashes an
+    entry (through caches.block_digest).
+    """
+    hashes = []
+    for site, module in (("built", core), ("cache", caches)):
 
-    monkeypatch.setattr(caches, "block_digest", counting)
-    return lambda: len(calls)
+        def counting(block, site=site):
+            hashes.append((site, block))
+            return block_digest(block)
+
+        monkeypatch.setattr(module, "block_digest", counting)
+    return hashes
+
+
+def sites(hashes) -> Counter:
+    return Counter(site for site, _ in hashes)
 
 
 class TestKVCache:
@@ -153,31 +165,94 @@ class TestKVCache:
                 )
 
     def test_commit_hashes_only_the_new_block(self, monkeypatch):
-        calls = count_digests(monkeypatch)
+        hashes = count_digests(monkeypatch)
+        blocks = [make_block(i, fill=float(i)) for i in range(20)]
+        assert sites(hashes) == {"built": 20}
         cache = KVCache(CacheOwner.DRAFTER)
-        for i in range(20):
-            cache.commit(make_block(i, fill=float(i)))
-        assert calls() == 20
+        for block in blocks:
+            cache.commit(block)
+        # A commit records the digest its block took when it was built.
+        assert sites(hashes) == {"built": 20}
         assert cache.replay() == cache
-        assert calls() == 20 + 2 * 20
+        # replay re-hashes each entry once; its re-commits hash nothing.
+        assert sites(hashes) == {"built": 20, "cache": 20}
 
     def test_engine_run_hashes_linearly_in_blocks(self, calibration, config, monkeypatch):
         blocks = 576
         config = config.with_overrides(num_blocks=blocks)
         stack = build_synthetic_stack(calibration, config)
-        calls = count_digests(monkeypatch)
-        run_video_detailed(
+        hashes = count_digests(monkeypatch)
+        result = run_video_detailed(
             config, PromptSpec("long"), stack.drafter, stack.target, stack.decoder,
             stack.scorer, ThresholdPolicy(tau=-0.7), latency=calibration.latency,
         )
-        # One hash per drafter and target commit, plus one end-of-run check of each cache.
-        assert calls() == 4 * blocks
+        rejected = sum(not t.decision.accepted for t in result.summary.block_traces)
+        assert 0 < rejected < blocks
+        # One hash per block built (every draft, and a regeneration per rejected
+        # block), none per commit, and one end-of-run check of each cache's entries.
+        assert sites(hashes) == {"built": blocks + rejected, "cache": 2 * blocks}
 
     def test_tip_digest_tracks_last_entry(self):
         cache = KVCache(CacheOwner.DRAFTER)
         assert cache.tip_digest() == "empty"
         cache.commit(make_block(0))
         assert cache.tip_digest() == cache.digests()[-1]
+
+
+SWEEP_ARMS = SweepSpec(thresholds=(-0.7, -0.8, -0.9, -1.0, -1.5, -2.0, -2.5)).arms()
+
+
+def run_sweep_arms(stack, calibration, config, target=None):
+    """One prompt under the sweep's 9 arms (target-only, 7 thresholds, draft-only)."""
+    return run_arms_detailed(
+        config, PromptSpec("p00003"), stack.drafter, target or stack.target, stack.decoder,
+        stack.scorer, SWEEP_ARMS, calibration.latency,
+    )
+
+
+def distinct_targets(results) -> list[KVCache]:
+    return list({id(r.target_kv): r.target_kv for r in results}.values())
+
+
+class TestLaneHashing:
+    def test_each_block_is_hashed_once_and_each_entry_checked_once(
+        self, stack, calibration, config, monkeypatch
+    ):
+        hashes = count_digests(monkeypatch)
+        results = run_sweep_arms(stack, calibration, config)
+        targets = distinct_targets(results)
+        kv_caches = [results[0].drafter_kv, *targets]
+        entries = list({id(e): e for kv in kv_caches for e in kv.entries}.values())
+        blocks = {id(e.block) for e in entries}
+        # The lanes forked, so target caches share entries and drafts sit in several caches.
+        assert len(targets) > 2
+        assert len(entries) < sum(map(len, kv_caches))
+        assert len(blocks) < len(entries)
+        built = Counter(id(block) for site, block in hashes if site == "built")
+        checked = Counter(id(block) for site, block in hashes if site == "cache")
+        assert built == Counter(blocks)
+        assert checked == Counter(id(e.block) for e in entries)
+
+    def test_forged_digest_on_a_shared_entry_names_the_target_cache(
+        self, stack, calibration, config
+    ):
+        targets = distinct_targets(run_sweep_arms(stack, calibration, config))
+        # Every arm but draft-only rejects block 0, so the target regenerates it
+        # once, and every lane that forked from theirs shares that entry 0.
+        regenerated = [kv.entries[0] for kv in targets if kv.entries[0].producer is Producer.TARGET]
+        assert len(targets) > 2 and len(regenerated) == len(targets) - 1
+        assert len({id(entry) for entry in regenerated}) == 1
+
+        class Forging:
+            """Forges, in place, the shared entry 0 of its cache before the last block."""
+
+            def generate(self, noise_seed, kv, block_index, prompt):
+                if block_index == config.num_blocks - 1:
+                    object.__setattr__(kv.entries[0], "digest", "0" * 32)
+                return stack.target.generate(noise_seed, kv, block_index, prompt)
+
+        with pytest.raises(IntegrityError, match="target cache entry 0"):
+            run_sweep_arms(stack, calibration, config, target=Forging())
 
 
 class TestSnapshotRestore:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -104,6 +107,30 @@ class TestPayloads:
         data[0, 0, 0, 0] = 99.0
         assert not block.data.any()
         assert block_digest(block) == digest
+
+    def test_latent_block_digest_is_taken_once_at_construction(self):
+        block = LatentBlock(3, np.arange(192.0).reshape(3, 4, 4, 4), Producer.TARGET, noise_seed=7)
+        # The value the drafter and target seed their noise from: it must not change.
+        assert block.digest == block_digest(block) == "698ae8a6ac36bd1d12a6111fb1b22689"
+        with pytest.raises(AttributeError):
+            block.digest = "0" * 32
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy,
+        copy.deepcopy,
+        *(lambda block, p=p: pickle.loads(pickle.dumps(block, protocol=p))
+          for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ], ids=["copy", "deepcopy", *(f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1))])
+    def test_latent_block_copies_are_read_only_with_their_own_digest(self, clone):
+        block = LatentBlock(2, np.full((3, 4, 8, 8), 0.5), Producer.DRAFT, noise_seed=9)
+        twin = clone(block)
+        assert (twin.block_index, twin.producer, twin.noise_seed) == (2, Producer.DRAFT, 9)
+        assert twin.data.tobytes() == block.data.tobytes()
+        assert twin.digest == block.digest == block_digest(twin)
+        with pytest.raises(ValueError):
+            twin.data[0, 0, 0, 0] = 99.0
+        with pytest.raises(ValueError):
+            twin.data.setflags(write=True)
 
     def test_frame_score_vector_stats(self):
         v = FrameScoreVector(2, (0.5, -0.3, 0.1))
